@@ -50,6 +50,11 @@ from .methods import PrecisionError, rule_from_name
 from .mwnw import DEFAULT_BUDGET, BudgetExceededError, solve
 
 
+# Upper bound on --turns for `sequence` and `consistency`, so that every
+# accepted input finishes in bounded work (10^4 turns take under a second).
+MAX_TURNS = 10_000
+
+
 def _emit(payload: dict, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -62,6 +67,13 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
     if not parts:
         raise ParseError("weights", "expected a comma-separated list")
     return tuple(parse_rational(p, "weights") for p in parts)
+
+
+def turn_count(text: str) -> int:
+    turns = int(text)
+    if turns > MAX_TURNS:
+        raise argparse.ArgumentTypeError(f"at most {MAX_TURNS} turns are supported, got {turns}")
+    return turns
 
 
 def _load_text_or_file(arg: str) -> str:
@@ -272,11 +284,15 @@ def _cmd_mono(args) -> int:
     return 1 if report.violated else 0
 
 
+def _require(args, what: str, *names: str) -> None:
+    if any(getattr(args, name.replace("-", "_")) is None for name in names):
+        raise ParseError("arguments", f"{what} needs " + ", ".join("--" + n for n in names))
+
+
 def _cmd_consistency(args) -> int:
     payload: dict = {"kind": args.kind}
     if args.kind == "resource":
-        if args.method is None or args.weights is None or args.turns is None:
-            raise ParseError("arguments", "resource consistency needs --method, --weights, --turns")
+        _require(args, "resource consistency", "method", "weights", "turns")
         weights = _parse_weights(args.weights)
         rule = rule_from_name(args.method)
         family = lambda n, m, w: sequence_for_rule(rule, n, m, w)
@@ -284,11 +300,7 @@ def _cmd_consistency(args) -> int:
         payload.update({"method": rule.name, "turns": args.turns})
     elif args.kind == "population":
         if args.method is not None:
-            if args.weights is None or args.turns is None or args.new_weight is None:
-                raise ParseError(
-                    "arguments",
-                    "population consistency from a method needs --weights, --turns, --new-weight",
-                )
+            _require(args, "population consistency from a method", "weights", "turns", "new-weight")
             weights = _parse_weights(args.weights)
             rule = rule_from_name(args.method)
             new_w = parse_rational(args.new_weight, "new-weight")
@@ -297,26 +309,13 @@ def _cmd_consistency(args) -> int:
             consistent = check_population_consistency_pair(base, grown, len(weights))
             payload.update({"method": rule.name})
         else:
-            if args.base is None or args.modified is None or args.new_agent is None:
-                raise ParseError(
-                    "arguments",
-                    "population consistency needs --base, --modified, --new-agent",
-                )
+            _require(args, "population consistency", "base", "modified", "new-agent")
             base = _load_sequence(args.base)
             grown = _load_sequence(args.modified)
             consistent = check_population_consistency_pair(base, grown, args.new_agent - 1)
     else:
         if args.method is not None:
-            if (
-                args.weights is None
-                or args.turns is None
-                or args.agent is None
-                or args.new_weight is None
-            ):
-                raise ParseError(
-                    "arguments",
-                    "weight consistency from a method needs --weights, --turns, --agent, --new-weight",
-                )
+            _require(args, "weight consistency from a method", "weights", "turns", "agent", "new-weight")
             weights = _parse_weights(args.weights)
             rule = rule_from_name(args.method)
             agent = args.agent - 1
@@ -333,10 +332,7 @@ def _cmd_consistency(args) -> int:
             consistent = check_weight_consistency_pair(base, moved, agent)
             payload.update({"method": rule.name})
         else:
-            if args.base is None or args.modified is None or args.agent is None:
-                raise ParseError(
-                    "arguments", "weight consistency needs --base, --modified, --agent"
-                )
+            _require(args, "weight consistency", "base", "modified", "agent")
             base = _load_sequence(args.base)
             moved = _load_sequence(args.modified)
             consistent = check_weight_consistency_pair(base, moved, args.agent - 1)
@@ -434,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="emit a method's picking sequence")
     p.add_argument("--method", required=True)
     p.add_argument("--weights", required=True, help="comma-separated rationals, e.g. 2,1 or 9/18,5/18")
-    p.add_argument("--turns", required=True, type=int)
+    p.add_argument("--turns", required=True, type=turn_count)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sequence)
 
@@ -475,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["resource", "population", "weight"])
     p.add_argument("--method")
     p.add_argument("--weights")
-    p.add_argument("--turns", type=int)
+    p.add_argument("--turns", type=turn_count)
     p.add_argument("--agent", type=int, help="1-indexed agent whose weight rose")
     p.add_argument("--new-agent", type=int, help="1-indexed index of the added agent")
     p.add_argument("--new-weight")
@@ -511,7 +507,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, PrecisionError, BudgetExceededError) as exc:
+    except PrecisionError as exc:
+        print(f"error: method {exc.method} has no exact comparison and is not available from the CLI",
+              file=sys.stderr)
+        return 2
+    except (ParseError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:

@@ -12,6 +12,7 @@ documents and CLI output.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,6 +219,17 @@ def turns_of(sequence: PickingSequence | Iterable[int]) -> tuple[int, ...]:
     if isinstance(sequence, PickingSequence):
         return sequence.turns
     return tuple(int(a) for a in sequence)
+
+
+def integer_weights(weights: Iterable) -> tuple[int, ...]:
+    """Positive rational weights scaled by the lcm of their denominators:
+    integers in the same ratios, so weight comparisons become integer
+    cross-multiplication."""
+    weights = tuple(Fraction(w) for w in weights)
+    if any(w <= 0 for w in weights):
+        raise ValueError("weights must be strictly positive")
+    scale = math.lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (scale // w.denominator) for w in weights)
 
 
 def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:

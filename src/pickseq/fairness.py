@@ -16,12 +16,11 @@ Notions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Allocation, Instance, PickingSequence, bundle_utility, turns_of
+from .core import Allocation, Instance, PickingSequence, bundle_utility, integer_weights, turns_of
 from .methods import DivisorFunction
 
 NOTIONS = ("wef1", "wwef1", "wprop1")
@@ -132,51 +131,45 @@ def check_sequence(
     wprop1:  every prefix of length k, every agent:  t_i >= k*w_i/sum(w) - 1.
 
     The witness is the lowest failing prefix, then lowest i, then lowest j.
+    Each prefix costs O(n) integer cross-multiplications: a pick by j can
+    newly fail only the envy pairs (i, j), since it raises t_j alone.
     """
     _check_notion(notion)
     turns = turns_of(sequence)
-    ws = tuple(Fraction(w) for w in weights)
-    if any(w <= 0 for w in ws):
-        raise ValueError("weights must be strictly positive")
-    n = len(ws)
+    scaled = integer_weights(weights)
+    n, total = len(scaled), sum(scaled)
     if any(not 0 <= a < n for a in turns):
         raise ValueError("sequence references an agent with no weight")
-    total = sum(ws, Fraction(0))
 
     counts = [0] * n
-    for k, picker in enumerate(turns, start=1):
-        counts[picker] += 1
+    for k, j in enumerate(turns, start=1):
+        counts[j] += 1
         if notion == "wprop1":
             for i in range(n):
-                bound = Fraction(k) * ws[i] / total - 1
-                if counts[i] < bound:
+                if (counts[i] + 1) * total < k * scaled[i]:
+                    rhs = Fraction(k * scaled[i], total) - 1
                     return FairnessVerdict(
-                        notion,
-                        False,
-                        Witness(lhs=Fraction(counts[i]), rhs=bound, agent=i, prefix=k),
+                        notion, False, Witness(lhs=Fraction(counts[i]), rhs=rhs, agent=i, prefix=k)
                     )
             continue
+        t_j, w_j = counts[j], scaled[j]
+        if t_j < 2:
+            continue
         for i in range(n):
-            for j in range(n):
-                if i == j or counts[j] < 2:
-                    continue
-                ratio = ws[i] / ws[j]
-                if notion == "wef1" or ws[i] >= ws[j]:
-                    lhs = Fraction(counts[i], counts[j] - 1)
-                    if lhs < ratio:
-                        return FairnessVerdict(
-                            notion,
-                            False,
-                            Witness(lhs=lhs, rhs=ratio, agent=i, against=j, prefix=k),
-                        )
-                if notion == "wwef1" and ws[i] <= ws[j]:
-                    lhs = Fraction(counts[i] + 1, counts[j])
-                    if lhs < ratio:
-                        return FairnessVerdict(
-                            notion,
-                            False,
-                            Witness(lhs=lhs, rhs=ratio, agent=i, against=j, prefix=k),
-                        )
+            if i == j:
+                continue
+            t_i, w_i = counts[i], scaled[i]
+            if (notion == "wef1" or w_i >= w_j) and t_i * w_j < w_i * (t_j - 1):
+                lhs = Fraction(t_i, t_j - 1)
+            elif notion == "wwef1" and w_i <= w_j and (t_i + 1) * w_j < w_i * t_j:
+                lhs = Fraction(t_i + 1, t_j)
+            else:
+                continue
+            return FairnessVerdict(
+                notion,
+                False,
+                Witness(lhs=lhs, rhs=Fraction(w_i, w_j), agent=i, against=j, prefix=k),
+            )
     return FairnessVerdict(notion, True)
 
 
@@ -184,7 +177,8 @@ def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
     """Check  t/(t+1) <= f(t)/f(t+1) <= (t+1)/(t+2)  exactly for t = 0..t_max.
 
     This single-variable condition characterizes the divisor functions
-    whose picking sequences guarantee wwef1.
+    whose picking sequences guarantee wwef1.  Both inequalities are decided
+    in integers on f's order form, or on its keys when it has none.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -195,21 +189,35 @@ def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
         assert num is not None and den is not None and den > 0
         return num / den
 
+    def exceeds(c1: int, s1: int, form1, c2: int, s2: int, form2) -> bool:
+        """c1*f(s1) > c2*f(s2) for positive integers c1, c2."""
+        if form1 is None or form2 is None:
+            return f.key(s1, Fraction(1, c1)) > f.key(s2, Fraction(1, c2))
+        (n1, d1, e), (n2, d2, _) = form1, form2
+        if n1 == 0 or n2 == 0:
+            return n2 == 0 and n1 != 0
+        if e > 0:
+            return n1 * d2 * c1**e > n2 * d1 * c2**e
+        return n1 * d2 * c2**-e < n2 * d1 * c1**-e
+
+    current = f.order_form(0)
     for t in range(t_max + 1):
-        # left:  t * f(t+1) <= (t+1) * f(t)
-        if f.compare_products(Fraction(t), t + 1, Fraction(t + 1), t) > 0:
+        following = f.order_form(t + 1)
+        # left:  t * f(t+1) <= (t+1) * f(t), which holds trivially at t = 0
+        if t > 0 and exceeds(t, t + 1, following, t + 1, t, current):
             return FairnessVerdict(
                 "wwef1",
                 False,
                 Witness(lhs=ratio(t), rhs=Fraction(t, t + 1), t=t),
             )
         # right: (t+2) * f(t) <= (t+1) * f(t+1)
-        if f.compare_products(Fraction(t + 2), t, Fraction(t + 1), t + 1) > 0:
+        if exceeds(t + 2, t, current, t + 1, t + 1, following):
             return FairnessVerdict(
                 "wwef1",
                 False,
                 Witness(lhs=Fraction(t + 1, t + 2), rhs=ratio(t), t=t),
             )
+        current = following
     return FairnessVerdict("wwef1", True)
 
 
@@ -230,12 +238,8 @@ def check_quota_bounds(
     if bound not in ("lower", "both"):
         raise ValueError("bound must be 'lower' or 'both'")
     turns = turns_of(sequence)
-    ws = tuple(Fraction(w) for w in weights)
-    if any(w <= 0 for w in ws):
-        raise ValueError("weights must be strictly positive")
-    n = len(ws)
-    total = sum(ws, Fraction(0))
-    m = len(turns)
+    scaled = integer_weights(weights)
+    n, total, m = len(scaled), sum(scaled), len(turns)
 
     prefixes = range(1, m + 1) if mode == "every-prefix" else (m,)
     counts = [0] * n
@@ -245,8 +249,7 @@ def check_quota_bounds(
             counts[turns[done]] += 1
             done += 1
         for i in range(n):
-            quota = Fraction(k) * ws[i] / total
-            floor_q = math.floor(quota)
+            floor_q, remainder = divmod(k * scaled[i], total)
             if counts[i] < floor_q:
                 return FairnessVerdict(
                     "quota",
@@ -254,7 +257,7 @@ def check_quota_bounds(
                     Witness(lhs=Fraction(counts[i]), rhs=Fraction(floor_q), agent=i, prefix=k),
                 )
             if bound == "both":
-                ceil_q = math.ceil(quota)
+                ceil_q = floor_q + (remainder > 0)
                 if counts[i] > ceil_q:
                     return FairnessVerdict(
                         "quota",

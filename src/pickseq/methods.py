@@ -5,16 +5,14 @@ t_i is the agent's pick count so far and f is strictly increasing with
 t <= f(t) <= t+1.  The quota method restricts the Jefferson rule
 (f(t) = t+1) to agents still below their proportional upper quota.
 
-Score comparisons are exact wherever the function family permits: rational
-f values compare directly, square roots (Hill) compare as squares, and
-power means with integer exponent (or exponent zero with rational mean
-weight) compare after clearing roots by powering.  Only irrational
-exponents fall back to high-precision arithmetic, and that fallback is off
-by default.
+Scores compare through one exact order key per family, a power of f(t)/w
+that clears any root (``DivisorFunction.key``).  Only power means with
+non-integer exponent fall back to high-precision arithmetic, off by default.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
@@ -23,7 +21,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .core import PickingSequence, format_rational, parse_rational
+from .core import PickingSequence, format_rational, integer_weights, parse_rational
 
 PRECISION_ENV_VAR = "FAIRSEQ_PRECISION_BITS"
 DEFAULT_PRECISION_BITS = 128
@@ -31,6 +29,11 @@ DEFAULT_PRECISION_BITS = 128
 
 class PrecisionError(ValueError):
     """Comparison cannot be made exact and approximation was not allowed."""
+
+    def __init__(self, method: str):
+        self.method = method
+        super().__init__(f"{method} has no exact comparison; construct it with "
+                         "allow_approx=True to use the high-precision fallback")
 
 
 def _as_rational(value) -> Fraction:
@@ -135,73 +138,52 @@ class DivisorFunction:
         if self.kind == "powermean":
             if t == 0 and self.p <= 0:
                 return Fraction(0)
-            if self.p == 1:
-                return self.w * t + (1 - self.w) * (t + 1)
-            if self.w == 0 and self.p != 0:
-                return Fraction(t + 1)
-            if self.w == 1 and self.p != 0:
-                return Fraction(t)
-            if self.p == 0 and self.w == 0:
-                return Fraction(t + 1)
-            if self.p == 0 and self.w == 1:
-                return Fraction(t)
+            if self.p == 1 or self.w in (0, 1):
+                return t + 1 - self.w  # the mean weighted w on t and 1-w on t+1
             return None
         raise AssertionError(self.kind)
 
-    def is_zero_at(self, t: int) -> bool:
-        value = self.rational_value(t)
-        if value is not None:
-            return value == 0
-        return False  # hill and powermean are irrational only when positive
+    def order_form(self, t: int) -> tuple[int, int, int] | None:
+        """Integers (num, den, e) with num/den = f(t)^e, so f(t)/w orders as
+        num/(den*w^e), reversed when e < 0; num == 0 exactly when f(t) = 0.
 
-    # -- exact comparison core -------------------------------------------
-
-    def compare_products(self, c1: Fraction, t1: int, c2: Fraction, t2: int) -> int:
-        """Sign of c1*f(t1) - c2*f(t2) for non-negative rational c1, c2."""
-        if c1 < 0 or c2 < 0:
-            raise ValueError("scaling coefficients must be non-negative")
-        left_zero = c1 == 0 or self.is_zero_at(t1)
-        right_zero = c2 == 0 or self.is_zero_at(t2)
-        if left_zero or right_zero:
-            if left_zero and right_zero:
-                return 0
-            return -1 if left_zero else 1
-
-        v1 = self.rational_value(t1)
-        v2 = self.rational_value(t2)
-        if v1 is not None and v2 is not None:
-            return _sign(c1 * v1 - c2 * v2)
-
+        e is 1 for rational f, 2 for Hill, k for a power mean with integer
+        exponent k and q for the geometric mean with weight a/q.  None when
+        f(t) is irrational with no such form.
+        """
         if self.kind == "hill":
-            # compare squares: both sides are positive
-            lhs = c1 * c1 * t1 * (t1 + 1)
-            rhs = c2 * c2 * t2 * (t2 + 1)
-            return _sign(lhs - rhs)
+            return t * (t + 1), 1, 2
+        if self.kind == "powermean" and 0 < self.w < 1 and self.p != 1:
+            a, q = self.w.numerator, self.w.denominator
+            if self.p == 0:
+                return t**a * (t + 1) ** (q - a), 1, q
+            if self.p.denominator == 1:
+                k = self.p.numerator
+                if k > 0:
+                    return a * t**k + (q - a) * (t + 1) ** k, q, k
+                if t == 0:
+                    return 0, 1, k
+                # g(t) = a/(q t^|k|) + (q-a)/(q (t+1)^|k|)
+                return a * (t + 1) ** -k + (q - a) * t**-k, q * (t * (t + 1)) ** -k, k
+        value = self.rational_value(t)
+        if value is None:
+            return None
+        return value.numerator, value.denominator, 1
 
-        if self.kind == "powermean":
-            p, w = self.p, self.w
-            if p != 0 and p.denominator == 1:
-                k = p.numerator
-                g1 = w * Fraction(t1) ** k + (1 - w) * Fraction(t1 + 1) ** k
-                g2 = w * Fraction(t2) ** k + (1 - w) * Fraction(t2 + 1) ** k
-                lhs = c1**k * g1
-                rhs = c2**k * g2
-                # raising positives to a negative power flips the order
-                return _sign(lhs - rhs) if k > 0 else -_sign(lhs - rhs)
-            if p == 0:
-                a, q = w.numerator, w.denominator
-                lhs = c1**q * Fraction(t1) ** a * Fraction(t1 + 1) ** (q - a)
-                rhs = c2**q * Fraction(t2) ** a * Fraction(t2 + 1) ** (q - a)
-                return _sign(lhs - rhs)
+    def key(self, t: int, w) -> tuple:
+        """Sort key of f(t)/w, w > 0: keys order exactly as the scores do,
+        and f(t) = 0 gives the least key (0, 0).  Without an exact form the
+        key holds a high-precision decimal if ``allow_approx`` is set."""
+        form = self.order_form(t)
+        if form is None:
             if not self.allow_approx:
-                raise PrecisionError(
-                    f"power mean with non-integer exponent {self.p} has no exact "
-                    "comparison; construct it with allow_approx=True to use the "
-                    "high-precision fallback"
-                )
-            return _sign_decimal(self._approx(c1, t1) - self._approx(c2, t2))
-
-        raise AssertionError(f"no comparison path for {self.kind}")
+                raise PrecisionError(self.name)
+            return (1, self._approx(1 / Fraction(w), t))
+        num, den, e = form
+        if num == 0:
+            return (0, 0)
+        value = Fraction(num, den) / Fraction(w) ** e
+        return (1, value if e > 0 else -value)
 
     def _approx(self, coeff: Fraction, t: int) -> Decimal:
         bits = int(os.environ.get(PRECISION_ENV_VAR, DEFAULT_PRECISION_BITS))
@@ -216,15 +198,6 @@ class DivisorFunction:
             value = mean ** (1 / dp)
             dcoeff = Decimal(coeff.numerator) / Decimal(coeff.denominator)
             return dcoeff * value
-
-
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
-
-
-def _sign_decimal(d: Decimal) -> int:
-    # exact representational equality at working precision counts as a tie
-    return (d > 0) - (d < 0)
 
 
 ADAMS = DivisorFunction("adams")
@@ -292,10 +265,15 @@ def compare_scores(
     w_a, w_b = Fraction(w_a), Fraction(w_b)
     if w_a <= 0 or w_b <= 0:
         raise ValueError("weights must be strictly positive")
-    return f.compare_products(1 / w_a, t_a, 1 / w_b, t_b)
+    a, b = f.key(t_a, w_a), f.key(t_b, w_b)
+    return (a > b) - (a < b)
 
 
-def _check_weights(n: int, weights: Sequence) -> tuple[Fraction, ...]:
+def _check_arguments(n: int, m: int, weights: Sequence) -> tuple[Fraction, ...]:
+    if n < 1:
+        raise ValueError("need at least one agent")
+    if m < 0:
+        raise ValueError("item count must be non-negative")
     ws = tuple(Fraction(w) for w in weights)
     if len(ws) != n:
         raise ValueError(f"need {n} weights, got {len(ws)}")
@@ -309,22 +287,23 @@ def divisor_sequence(
 ) -> PickingSequence:
     """Length-m sequence: each turn goes to the argmin of f(t_i)/w_i.
 
-    Ties break in favor of the lowest agent index.
+    Ties break in favor of the lowest agent index.  A heap of (key, agent)
+    makes this O(m log n); an agent's next key is evaluated only while a
+    turn remains, so f is evaluated at exactly the counts a turn compares.
     """
-    if n < 1:
-        raise ValueError("need at least one agent")
-    if m < 0:
-        raise ValueError("item count must be non-negative")
-    ws = _check_weights(n, weights)
+    ws = _check_arguments(n, m, weights)
+    if n == 1 or m == 0:
+        return PickingSequence((0,) * m)  # no turn compares two scores
+    heap = [(f.key(0, w), i) for i, w in enumerate(ws)]
+    heapq.heapify(heap)
     counts = [0] * n
     turns = []
-    for _ in range(m):
-        best = 0
-        for i in range(1, n):
-            if compare_scores(f, counts[i], ws[i], counts[best], ws[best]) < 0:
-                best = i
+    for turn in range(1, m + 1):
+        best = heap[0][1]
         turns.append(best)
         counts[best] += 1
+        if turn < m:
+            heapq.heapreplace(heap, (f.key(counts[best], ws[best]), best))
     return PickingSequence(tuple(turns))
 
 
@@ -332,24 +311,22 @@ def quota_sequence(n: int, m: int, weights: Sequence) -> PickingSequence:
     """Jefferson-style argmin of (t_i+1)/w_i over agents below upper quota.
 
     For round k an agent is eligible iff t_i < w_i * k / sum(w) (strict);
-    ties break to the lowest index.  The eligibility set is provably
-    non-empty each round; an empty set would mean an arithmetic bug.
+    ties break to the lowest index.  Both tests run on the weights scaled
+    to integers.  The eligibility set is provably non-empty each round; an
+    empty set would mean an arithmetic bug.
     """
-    if n < 1:
-        raise ValueError("need at least one agent")
-    if m < 0:
-        raise ValueError("item count must be non-negative")
-    ws = _check_weights(n, weights)
-    total = sum(ws, Fraction(0))
+    ws = integer_weights(_check_arguments(n, m, weights))
+    total = sum(ws)
     counts = [0] * n
     turns = []
     for k in range(1, m + 1):
-        eligible = [i for i in range(n) if counts[i] < Fraction(k) * ws[i] / total]
-        assert eligible, "quota eligibility set is empty: arithmetic bug"
-        best = eligible[0]
-        for i in eligible[1:]:
-            if Fraction(counts[i] + 1) / ws[i] < Fraction(counts[best] + 1) / ws[best]:
+        best = None
+        for i in range(n):
+            if counts[i] * total < k * ws[i] and (
+                best is None or (counts[i] + 1) * ws[best] < (counts[best] + 1) * ws[i]
+            ):
                 best = i
+        assert best is not None, "quota eligibility set is empty: arithmetic bug"
         turns.append(best)
         counts[best] += 1
     return PickingSequence(tuple(turns))

@@ -1,0 +1,164 @@
+"""Reference generators and verifiers: the direct, unoptimized forms.
+
+These are the per-kind score comparison, the O(n) argmin per turn, and
+the O(n^2) Fraction scan per prefix that the library replaced with order
+keys, a heap and incremental integer checks.  The differential tests
+require the library to agree with them exactly, witnesses included.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from pickseq.core import PickingSequence
+from pickseq.fairness import FairnessVerdict, Witness
+from pickseq.methods import DivisorFunction, PrecisionError
+
+
+def _sign(q) -> int:
+    return (q > 0) - (q < 0)
+
+
+def _is_zero_at(f: DivisorFunction, t: int) -> bool:
+    value = f.rational_value(t)
+    return value is not None and value == 0
+
+
+def compare_products(f: DivisorFunction, c1: Fraction, t1: int, c2: Fraction, t2: int) -> int:
+    """Sign of c1*f(t1) - c2*f(t2) for non-negative rational c1, c2."""
+    left_zero = c1 == 0 or _is_zero_at(f, t1)
+    right_zero = c2 == 0 or _is_zero_at(f, t2)
+    if left_zero or right_zero:
+        if left_zero and right_zero:
+            return 0
+        return -1 if left_zero else 1
+    v1, v2 = f.rational_value(t1), f.rational_value(t2)
+    if v1 is not None and v2 is not None:
+        return _sign(c1 * v1 - c2 * v2)
+    if f.kind == "hill":
+        return _sign(c1 * c1 * t1 * (t1 + 1) - c2 * c2 * t2 * (t2 + 1))
+    p, w = f.p, f.w
+    if p != 0 and p.denominator == 1:
+        k = p.numerator
+        g1 = w * Fraction(t1) ** k + (1 - w) * Fraction(t1 + 1) ** k
+        g2 = w * Fraction(t2) ** k + (1 - w) * Fraction(t2 + 1) ** k
+        sign = _sign(c1**k * g1 - c2**k * g2)
+        return sign if k > 0 else -sign
+    if p == 0:
+        a, q = w.numerator, w.denominator
+        lhs = c1**q * Fraction(t1) ** a * Fraction(t1 + 1) ** (q - a)
+        rhs = c2**q * Fraction(t2) ** a * Fraction(t2 + 1) ** (q - a)
+        return _sign(lhs - rhs)
+    if not f.allow_approx:
+        raise PrecisionError(f.name)
+    return _sign(f._approx(c1, t1) - f._approx(c2, t2))
+
+
+def compare_scores(f: DivisorFunction, t_a: int, w_a, t_b: int, w_b) -> int:
+    return compare_products(f, 1 / Fraction(w_a), t_a, 1 / Fraction(w_b), t_b)
+
+
+def divisor_sequence(f: DivisorFunction, n: int, m: int, weights) -> PickingSequence:
+    ws = tuple(Fraction(w) for w in weights)
+    counts = [0] * n
+    turns = []
+    for _ in range(m):
+        best = 0
+        for i in range(1, n):
+            if compare_scores(f, counts[i], ws[i], counts[best], ws[best]) < 0:
+                best = i
+        turns.append(best)
+        counts[best] += 1
+    return PickingSequence(tuple(turns))
+
+
+def quota_sequence(n: int, m: int, weights) -> PickingSequence:
+    ws = tuple(Fraction(w) for w in weights)
+    total = sum(ws, Fraction(0))
+    counts = [0] * n
+    turns = []
+    for k in range(1, m + 1):
+        eligible = [i for i in range(n) if counts[i] < Fraction(k) * ws[i] / total]
+        best = eligible[0]
+        for i in eligible[1:]:
+            if Fraction(counts[i] + 1) / ws[i] < Fraction(counts[best] + 1) / ws[best]:
+                best = i
+        turns.append(best)
+        counts[best] += 1
+    return PickingSequence(tuple(turns))
+
+
+def check_sequence(notion: str, turns, weights) -> FairnessVerdict:
+    ws = tuple(Fraction(w) for w in weights)
+    n = len(ws)
+    total = sum(ws, Fraction(0))
+    counts = [0] * n
+    for k, picker in enumerate(turns, start=1):
+        counts[picker] += 1
+        if notion == "wprop1":
+            for i in range(n):
+                bound = Fraction(k) * ws[i] / total - 1
+                if counts[i] < bound:
+                    return FairnessVerdict(
+                        notion, False,
+                        Witness(lhs=Fraction(counts[i]), rhs=bound, agent=i, prefix=k),
+                    )
+            continue
+        for i in range(n):
+            for j in range(n):
+                if i == j or counts[j] < 2:
+                    continue
+                ratio = ws[i] / ws[j]
+                if notion == "wef1" or ws[i] >= ws[j]:
+                    lhs = Fraction(counts[i], counts[j] - 1)
+                    if lhs < ratio:
+                        return FairnessVerdict(
+                            notion, False,
+                            Witness(lhs=lhs, rhs=ratio, agent=i, against=j, prefix=k),
+                        )
+                if notion == "wwef1" and ws[i] <= ws[j]:
+                    lhs = Fraction(counts[i] + 1, counts[j])
+                    if lhs < ratio:
+                        return FairnessVerdict(
+                            notion, False,
+                            Witness(lhs=lhs, rhs=ratio, agent=i, against=j, prefix=k),
+                        )
+    return FairnessVerdict(notion, True)
+
+
+def check_quota_bounds(turns, weights, mode: str, bound: str) -> FairnessVerdict:
+    ws = tuple(Fraction(w) for w in weights)
+    n = len(ws)
+    total = sum(ws, Fraction(0))
+    m = len(turns)
+    prefixes = range(1, m + 1) if mode == "every-prefix" else (m,)
+    for k in prefixes:
+        counts = [0] * n
+        for a in turns[:k]:
+            counts[a] += 1
+        for i in range(n):
+            quota = Fraction(k) * ws[i] / total
+            if counts[i] < math.floor(quota):
+                return FairnessVerdict(
+                    "quota", False,
+                    Witness(lhs=Fraction(counts[i]), rhs=Fraction(math.floor(quota)), agent=i, prefix=k),
+                )
+            if bound == "both" and counts[i] > math.ceil(quota):
+                return FairnessVerdict(
+                    "quota", False,
+                    Witness(lhs=Fraction(math.ceil(quota)), rhs=Fraction(counts[i]), agent=i, prefix=k),
+                )
+    return FairnessVerdict("quota", True)
+
+
+def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
+    def ratio(t):
+        return f.rational_value(t) / f.rational_value(t + 1)
+
+    for t in range(t_max + 1):
+        if compare_products(f, Fraction(t), t + 1, Fraction(t + 1), t) > 0:
+            return FairnessVerdict("wwef1", False, Witness(lhs=ratio(t), rhs=Fraction(t, t + 1), t=t))
+        if compare_products(f, Fraction(t + 2), t, Fraction(t + 1), t + 1) > 0:
+            return FairnessVerdict("wwef1", False, Witness(lhs=Fraction(t + 1, t + 2), rhs=ratio(t), t=t))
+    return FairnessVerdict("wwef1", True)

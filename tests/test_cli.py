@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pickseq.cli import main
+from pickseq.cli import MAX_TURNS, main
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +211,30 @@ def test_usage_errors_exit_two(capsys):
 
     code, _, err = run_cli(capsys, "allocate", "--method", "adams", "--instance", "/no/such/file.json")
     assert code == 2
+
+
+def test_turns_above_bound_exit_two(capsys):
+    code, out, _ = run_cli(capsys, "sequence", "--method", "webster", "--weights", "1,2",
+                           "--turns", str(MAX_TURNS), "--json")
+    assert code == 0 and len(json.loads(out)["turns"]) == MAX_TURNS
+    for argv in (
+        ["sequence", "--method", "webster", "--weights", "1,2", "--turns", "100000000", "--json"],
+        ["consistency", "--kind", "resource", "--method", "webster", "--weights", "1,2",
+         "--turns", str(MAX_TURNS + 1), "--json"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert f"at most {MAX_TURNS} turns are supported" in captured.err
+
+
+def test_inexact_method_is_refused(capsys):
+    code, _, err = run_cli(capsys, "sequence", "--method", "powermean:1/2,1/2",
+                           "--weights", "1,2", "--turns", "4")
+    assert code == 2
+    assert "powermean:1/2,1/2 has no exact comparison and is not available from the CLI" in err
+    assert "allow_approx" not in err
 
 
 def test_json_output_deterministic(capsys):

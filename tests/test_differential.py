@@ -1,0 +1,140 @@
+"""The order-key generators and the incremental integer verifiers against
+the direct reference forms in ``reference.py``, on seeded draws.
+
+Sequences must be equal, and verdicts equal as whole values: holds, and
+the witness's lhs, rhs, agent, against, prefix and t.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import reference
+from pickseq.fairness import (
+    check_quota_bounds,
+    check_sequence,
+    divisor_wwef1_condition,
+)
+from pickseq.methods import (
+    TRADITIONAL,
+    PrecisionError,
+    compare_scores,
+    custom,
+    divisor_sequence,
+    power_mean,
+    quota_sequence,
+    stationary,
+)
+
+NOTIONS = ("wef1", "wwef1", "wprop1")
+MEAN_WEIGHTS = (0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), 1)
+
+FAMILIES = (
+    list(TRADITIONAL.values())
+    + [stationary(c) for c in (0, Fraction(1, 3), Fraction(1, 2), 1)]
+    + [power_mean(p, w) for p in (-2, -1, 0, 1, 2, 3) for w in MEAN_WEIGHTS]
+    + [custom([0, Fraction(3, 2), Fraction(5, 2)], tail_offset=Fraction(1, 2))]
+)
+
+
+def draw_weights(rng, n):
+    """Tie-heavy small integers, or rationals p/q, on alternate draws."""
+    if rng.random() < 0.5:
+        return tuple(Fraction(rng.randint(1, 6)) for _ in range(n))
+    return tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
+
+
+def family_id(f):
+    return f.name if f.kind != "custom" else "custom"
+
+
+def assert_verdicts_match(turns, weights):
+    for notion in NOTIONS:
+        assert check_sequence(notion, turns, weights) == reference.check_sequence(
+            notion, turns, weights
+        ), (notion, turns, weights)
+    for mode in ("full", "every-prefix"):
+        for bound in ("lower", "both"):
+            assert check_quota_bounds(
+                turns, weights, mode=mode, bound=bound
+            ) == reference.check_quota_bounds(turns, weights, mode, bound), (mode, bound, turns, weights)
+
+
+@pytest.mark.parametrize("f", FAMILIES, ids=family_id)
+def test_keys_order_as_reference_comparison(f):
+    rng = random.Random(5101)
+    for _ in range(150):
+        t_a, t_b = rng.randint(0, 12), rng.randint(0, 12)
+        w_a, w_b = draw_weights(rng, 2)
+        assert compare_scores(f, t_a, w_a, t_b, w_b) == reference.compare_scores(
+            f, t_a, w_a, t_b, w_b
+        ), (t_a, w_a, t_b, w_b)
+
+
+def test_approximate_keys_order_as_reference_comparison():
+    rng = random.Random(5102)
+    for p in (Fraction(1, 2), Fraction(-1, 2), Fraction(5, 3)):
+        f = power_mean(p, Fraction(1, 3), allow_approx=True)
+        for _ in range(60):
+            t_a, t_b = rng.randint(0, 6), rng.randint(0, 6)
+            w_a, w_b = draw_weights(rng, 2)
+            assert compare_scores(f, t_a, w_a, t_b, w_b) == reference.compare_scores(
+                f, t_a, w_a, t_b, w_b
+            )
+        assert divisor_sequence(f, 3, 9, (3, 2, 1)) == reference.divisor_sequence(f, 3, 9, (3, 2, 1))
+
+
+@pytest.mark.parametrize("f", FAMILIES, ids=family_id)
+def test_sequences_and_verdicts_match_reference(f):
+    rng = random.Random(5103)
+    for _ in range(25):
+        n, m = rng.randint(1, 6), rng.randint(0, 20)
+        weights = draw_weights(rng, n)
+        seq = divisor_sequence(f, n, m, weights)
+        assert seq == reference.divisor_sequence(f, n, m, weights), (n, m, weights)
+        assert_verdicts_match(seq.turns, weights)
+
+
+def test_quota_sequences_and_random_sequences_match_reference():
+    rng = random.Random(5104)
+    for _ in range(400):
+        n, m = rng.randint(1, 6), rng.randint(0, 20)
+        weights = draw_weights(rng, n)
+        seq = quota_sequence(n, m, weights)
+        assert seq == reference.quota_sequence(n, m, weights), (n, m, weights)
+        assert_verdicts_match(seq.turns, weights)
+        # random sequences fail early and at every kind of pair
+        assert_verdicts_match(tuple(rng.randrange(n) for _ in range(m)), weights)
+
+
+@pytest.mark.parametrize(
+    "f",
+    FAMILIES
+    + [
+        custom([0, 1], tail_offset=1),  # fails the left inequality at t = 1
+        custom([Fraction(1, 2), Fraction(19, 10)], tail_offset=Fraction(1, 10)),
+        custom([Fraction(1, 10), Fraction(11, 10), Fraction(21, 10)], tail_offset=Fraction(9, 10)),
+        power_mean(Fraction(1, 2), Fraction(1, 3), allow_approx=True),
+    ],
+    ids=family_id,
+)
+def test_wwef1_condition_matches_reference(f):
+    assert divisor_wwef1_condition(f, 60) == reference.divisor_wwef1_condition(f, 60)
+
+
+def test_evaluation_failures_match_reference():
+    # f is evaluated at the counts the reference evaluates: a table without
+    # a tail fails at the same length, and one agent evaluates nothing
+    short = custom([0, 1])
+    weights = (Fraction(2), Fraction(1))
+    assert divisor_sequence(short, 2, 3, weights) == reference.divisor_sequence(short, 2, 3, weights)
+    strict = power_mean(Fraction(-1, 2), Fraction(1, 2))
+    for impl in (divisor_sequence, reference.divisor_sequence):
+        with pytest.raises(ValueError):
+            impl(short, 2, 5, weights)
+        assert impl(short, 1, 9, (1,)).turns == (0,) * 9
+        assert impl(strict, 1, 9, (1,)).turns == (0,) * 9
+        assert impl(strict, 3, 1, (1, 2, 3)).turns == (0,)
+        with pytest.raises(PrecisionError):
+            impl(strict, 3, 3, (1, 2, 3))

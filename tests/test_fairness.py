@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -263,3 +265,24 @@ def test_notion_validation():
         check_quota_bounds([0], (1,), mode="sometimes")
     with pytest.raises(ValueError):
         divisor_wwef1_condition(ADAMS, 0)
+
+
+def test_webster_wprop1_certificate_up_to_three_agents():
+    # Exhaustive over every descending weight vector (one per multiset) with
+    # gcd 1 and entries in 1..40 for n = 2, 3.  Sequences are scale-invariant,
+    # so the gcd-1 vectors stand for all their multiples; divisor sequences
+    # are resource-consistent and check_sequence tests every prefix, so
+    # length 10 covers every m <= 10.
+    vectors = [
+        weights
+        for n in (2, 3)
+        for weights in combinations_with_replacement(range(40, 0, -1), n)
+        if math.gcd(*weights) == 1
+    ]
+    assert len(vectors) == 9879
+    violations = [
+        weights
+        for weights in vectors
+        if not check_sequence("wprop1", divisor_sequence(WEBSTER, len(weights), 10, weights), weights).holds
+    ]
+    assert violations == []
