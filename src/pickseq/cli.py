@@ -50,9 +50,11 @@ from .methods import PrecisionError, rule_from_name
 from .mwnw import DEFAULT_BUDGET, BudgetExceededError, solve
 
 
-# Upper bound on --turns for `sequence` and `consistency`, so that every
-# accepted input finishes in bounded work (10^4 turns take under a second).
+# Upper bounds on --turns for `sequence` and `consistency` and on the length
+# of any --weights list, so that every accepted input finishes in bounded
+# work: quota costs O(n·m), and 10^3 agents over 10^4 turns take about 2 s.
 MAX_TURNS = 10_000
+MAX_AGENTS = 1_000
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -66,6 +68,8 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ParseError("weights", "expected a comma-separated list")
+    if len(parts) > MAX_AGENTS:
+        raise ParseError("weights", f"at most {MAX_AGENTS} agents are supported, got {len(parts)}")
     return tuple(parse_rational(p, "weights") for p in parts)
 
 

@@ -119,9 +119,6 @@ class Instance:
     def total_weight(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 
-    def utility(self, agent: int, item: int) -> Fraction:
-        return self.utilities[agent][item]
-
     def add_item(self, column: Sequence[object]) -> "Instance":
         """Return the instance with one extra item appended (index m)."""
         col = [_as_rational(u) for u in column]
@@ -198,20 +195,6 @@ class PickingSequence:
 
     def __iter__(self):
         return iter(self.turns)
-
-    def validate_for(self, n: int, m: int) -> None:
-        if len(self.turns) != m:
-            raise ValueError(f"sequence length {len(self.turns)} does not match item count {m}")
-        if any(a >= n for a in self.turns):
-            raise ValueError(f"sequence references an agent outside 1..{n}")
-
-    def pick_counts(self, n: int, prefix: int | None = None) -> list[int]:
-        """Per-agent pick counts over the first ``prefix`` turns (all by default)."""
-        counts = [0] * n
-        turns = self.turns if prefix is None else self.turns[:prefix]
-        for a in turns:
-            counts[a] += 1
-        return counts
 
 
 def turns_of(sequence: PickingSequence | Iterable[int]) -> tuple[int, ...]:

@@ -36,8 +36,6 @@ def sequence_for_rule(rule: Rule, n: int, m: int, weights: Sequence) -> PickingS
         return quota_sequence(n, m, weights)
     if rule.kind == "round_robin":
         return baselines.round_robin_sequence(n, m)
-    if rule.kind == "fixed_sequence":
-        return rule.fixed
     raise ValueError(f"rule {rule.name!r} is not sequence-based")
 
 
@@ -254,6 +252,9 @@ def scan(
     is_fairness = property in ("wef1", "wwef1", "wprop1")
     if not is_fairness and property not in MONOTONICITY_KINDS:
         raise ValueError(f"unknown scan property {property!r}")
+    for name, value in (("trials", trials), ("max_n", max_n), ("max_m", max_m)):
+        if value < 1:
+            raise ValueError(f"scan needs {name} >= 1, got {value}")
     min_n = 2 if max_n >= 2 else 1
 
     for trial in range(trials):

@@ -336,19 +336,15 @@ def quota_sequence(n: int, m: int, weights: Sequence) -> PickingSequence:
 class Rule:
     """A named allocation procedure usable by the harness and CLI.
 
-    kind: divisor | quota | mwnw | round_robin | envy_cycle |
-          adjusted_winner | fixed_sequence
+    kind: divisor | quota | mwnw | round_robin | envy_cycle | adjusted_winner
     """
 
     kind: str
     divisor: DivisorFunction | None = None
-    fixed: PickingSequence | None = None
 
     def __post_init__(self):
         if self.kind == "divisor" and self.divisor is None:
             raise ValueError("divisor rule needs a DivisorFunction")
-        if self.kind == "fixed_sequence" and self.fixed is None:
-            raise ValueError("fixed_sequence rule needs a PickingSequence")
         if self.kind not in (
             "divisor",
             "quota",
@@ -356,7 +352,6 @@ class Rule:
             "round_robin",
             "envy_cycle",
             "adjusted_winner",
-            "fixed_sequence",
         ):
             raise ValueError(f"unknown rule kind {self.kind!r}")
 
@@ -370,12 +365,11 @@ class Rule:
             "round_robin": "rr",
             "envy_cycle": "ecycle",
             "adjusted_winner": "aw",
-            "fixed_sequence": "fixed",
         }[self.kind]
 
     @property
     def is_sequence_based(self) -> bool:
-        return self.kind in ("divisor", "quota", "round_robin", "fixed_sequence")
+        return self.kind in ("divisor", "quota", "round_robin")
 
 
 def divisor_rule(f: DivisorFunction) -> Rule:
@@ -387,10 +381,6 @@ MWNW_RULE = Rule("mwnw")
 ROUND_ROBIN_RULE = Rule("round_robin")
 ENVY_CYCLE_RULE = Rule("envy_cycle")
 ADJUSTED_WINNER_RULE = Rule("adjusted_winner")
-
-
-def fixed_sequence_rule(sequence: PickingSequence) -> Rule:
-    return Rule("fixed_sequence", fixed=sequence)
 
 
 def rule_from_name(text: str) -> Rule:

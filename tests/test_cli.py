@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pickseq.cli import MAX_TURNS, main
+from pickseq.cli import MAX_AGENTS, MAX_TURNS, main
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +227,31 @@ def test_turns_above_bound_exit_two(capsys):
         captured = capsys.readouterr()
         assert exit_info.value.code == 2 and captured.out == ""
         assert f"at most {MAX_TURNS} turns are supported" in captured.err
+
+
+def test_agents_above_bound_exit_two(capsys):
+    weights = ",".join(["1"] * MAX_AGENTS)
+    code, out, _ = run_cli(capsys, "sequence", "--method", "quota", "--weights", weights,
+                           "--turns", "3", "--json")
+    assert code == 0 and json.loads(out)["turns"] == [1, 2, 3]
+    weights += ",1"
+    for argv in (
+        ["sequence", "--method", "quota", "--weights", weights, "--turns", "3", "--json"],
+        ["consistency", "--kind", "resource", "--method", "webster", "--weights", weights,
+         "--turns", "3", "--json"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"at most {MAX_AGENTS} agents are supported" in err
+
+
+def test_scan_empty_bounds_exit_two(capsys):
+    for flag, value, name in (("--trials", "-5", "trials"), ("--max-m", "0", "max_m"),
+                              ("--max-n", "0", "max_n")):
+        code, out, err = run_cli(capsys, "scan", "--rule", "webster", "--property", "wef1",
+                                 flag, value)
+        assert code == 2 and out == ""
+        assert f"scan needs {name} >= 1, got {value}" in err
 
 
 def test_inexact_method_is_refused(capsys):

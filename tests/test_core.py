@@ -8,7 +8,6 @@ from pickseq.core import (
     Allocation,
     Instance,
     ParseError,
-    PickingSequence,
     bundle_utility,
     format_rational,
     parse_allocation,
@@ -99,17 +98,6 @@ def test_allocation_partition_invariants():
         alloc.validate_for(flip_instance())  # five items, only three covered
     with pytest.raises(ValueError):
         Allocation((frozenset({0}),)).validate_for(small)
-
-
-def test_picking_sequence_validation():
-    seq = PickingSequence((0, 1, 0))
-    seq.validate_for(2, 3)
-    with pytest.raises(ValueError):
-        seq.validate_for(2, 4)
-    with pytest.raises(ValueError):
-        seq.validate_for(1, 3)
-    assert seq.pick_counts(2) == [2, 1]
-    assert seq.pick_counts(2, prefix=1) == [1, 0]
 
 
 def test_parse_instance_round_trip():

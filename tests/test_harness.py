@@ -274,3 +274,19 @@ def test_scan_monotonicity_property():
 def test_scan_rejects_unknown_property():
     with pytest.raises(ValueError):
         scan(MWNW, "pareto", trials=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "bounds, name",
+    [
+        ({"trials": 0}, "trials"),
+        ({"trials": -5}, "trials"),
+        ({"max_n": 0}, "max_n"),
+        ({"max_m": 0}, "max_m"),
+    ],
+)
+def test_scan_rejects_empty_bounds(bounds, name):
+    with pytest.raises(ValueError, match=f"{name} >= 1"):
+        scan(divisor_rule(WEBSTER), "wef1", **bounds)
+    with pytest.raises(ValueError, match=f"{name} >= 1"):
+        scan(MWNW, "weight", **bounds)
