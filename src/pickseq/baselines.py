@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Allocation, Instance, PickingSequence, bundle_utility
+from .core import Allocation, Instance, PickingSequence, integer_utilities
 
 
 def round_robin_sequence(n: int, m: int) -> PickingSequence:
@@ -21,15 +21,17 @@ def round_robin_sequence(n: int, m: int) -> PickingSequence:
     return PickingSequence(tuple(j % n for j in range(m)))
 
 
-def _envy_edges(instance: Instance, bundles: list[set[int]]) -> list[list[bool]]:
-    """edges[i][j] iff agent i strictly prefers bundle j to her own."""
-    n = instance.n
-    own = [bundle_utility(instance, i, bundles[i]) for i in range(n)]
-    edges = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and bundle_utility(instance, i, bundles[j]) > own[i]:
-                edges[i][j] = True
+def _envy_edges(rows: tuple[tuple[int, ...], ...], bundles: list[set[int]]) -> list[list[bool]]:
+    """edges[i][j] iff agent i strictly prefers bundle j to her own.
+
+    ``rows`` are the integer-scaled utilities of ``core.integer_utilities``:
+    each edge compares one agent's values only, so the scale keeps it.
+    """
+    n = len(rows)
+    edges = []
+    for i, row in enumerate(rows):
+        values = [sum(row[g] for g in bundle) for bundle in bundles]
+        edges.append([j != i and values[j] > values[i] for j in range(n)])
     return edges
 
 
@@ -71,13 +73,14 @@ def envy_cycle_eliminate(instance: Instance) -> Allocation:
     breaking ties by agent index and then item index.
     """
     n, m = instance.n, instance.m
+    _, rows = integer_utilities(instance)
     bundles: list[set[int]] = [set() for _ in range(n)]
     remaining = list(range(m))
 
     while remaining:
         rotations = 0
         while True:
-            edges = _envy_edges(instance, bundles)
+            edges = _envy_edges(rows, bundles)
             unenvied = [j for j in range(n) if not any(edges[i][j] for i in range(n))]
             if unenvied:
                 break
@@ -88,6 +91,7 @@ def envy_cycle_eliminate(instance: Instance) -> Allocation:
             rotations += 1
             assert rotations <= n, "cycle elimination failed to make progress"
 
+        # the gain comparison is across agents: it stays on the Fractions
         best_agent, best_item = unenvied[0], remaining[0]
         best_gain = instance.utilities[unenvied[0]][remaining[0]]
         for i in unenvied:
@@ -108,6 +112,14 @@ def adjusted_winner(instance: Instance) -> Allocation:
     procedure hands agent 1 the shortest prefix of that order whose value
     to her matches or beats the order's tail minus its first item, and
     agent 2 takes the rest.
+
+    This rule stays on the Fractions.  Its order divides one agent's value
+    by the other's, so it is not a one-agent comparison, and the textbook
+    procedure's equalizing step, u1(A) = u2(B), would not survive per-agent
+    scales (``core.integer_utilities``).  This adaptation happens to be
+    safe (the scales multiply every ratio by the same s1/s2, and the stop
+    test sums u1 only), but with two agents and one sort there is nothing
+    to gain.
     """
     if instance.n != 2:
         raise ValueError("adjusted winner requires exactly two agents")

@@ -1,9 +1,16 @@
 """Exact data model for weighted fair division of indivisible items.
 
-Every weight, utility, and score in this package is an arbitrary-precision
-rational (``fractions.Fraction``).  Floating point never enters the data
-model: the constructions this library reproduces sit on knife-edge
-inequalities, so every argmin tie must be decided exactly.
+Every weight, utility, and score this package accepts or returns is an
+arbitrary-precision rational (``fractions.Fraction``).  Floating point
+never enters the data model: the constructions this library reproduces sit
+on knife-edge inequalities, so every argmin tie must be decided exactly.
+
+Internally the hot paths compare integers instead.  ``integer_weights``
+scales the weight vector by the lcm of its denominators, and
+``integer_utilities`` scales each agent's utility row by the lcm of that
+row's denominators.  A per-agent scale is sound wherever an inequality
+weighs one agent's values against that same agent's values; witnesses are
+divided back into the same Fractions.
 
 Agents and items are 0-indexed in code and 1-indexed in serialized
 documents and CLI output.
@@ -115,10 +122,6 @@ class Instance:
     def m(self) -> int:
         return len(self.utilities[0]) if self.utilities else 0
 
-    @property
-    def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
     def add_item(self, column: Sequence[object]) -> "Instance":
         """Return the instance with one extra item appended (index m)."""
         col = [_as_rational(u) for u in column]
@@ -213,6 +216,23 @@ def integer_weights(weights: Iterable) -> tuple[int, ...]:
         raise ValueError("weights must be strictly positive")
     scale = math.lcm(*(w.denominator for w in weights))
     return tuple(w.numerator * (scale // w.denominator) for w in weights)
+
+
+def integer_utilities(instance: Instance) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Per-agent scales s_i and integer rows s_i * u_i.
+
+    s_i is the lcm of the denominators of agent i's row: the smallest
+    positive integer that makes the row integral.  Rows that are already
+    integers keep s_i = 1.  Comparisons between sums of one agent's
+    utilities keep their order under the scale; comparisons across agents
+    do not.
+    """
+    scales, rows = [], []
+    for row in instance.utilities:
+        scale = math.lcm(*(u.denominator for u in row))
+        scales.append(scale)
+        rows.append(tuple(u.numerator * (scale // u.denominator) for u in row))
+    return tuple(scales), tuple(rows)
 
 
 def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:

@@ -4,13 +4,18 @@ Agents are truthful: at her turn an agent takes the remaining item she
 values most, ties to the lowest item index.  An agent whose remaining
 items are all worth zero still picks (the lowest-indexed one), so every
 sequence of length m consumes all m items.
+
+Each agent compares only her own values, so the picks are made on her
+integer-scaled row (``core.integer_utilities``): every agent who has a turn
+sorts her items once by (value descending, index ascending) and takes the
+first item of that order not yet taken.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Allocation, Instance, PickingSequence, turns_of
+from .core import Allocation, Instance, PickingSequence, integer_utilities, turns_of
 
 
 def execute(instance: Instance, sequence: PickingSequence | Iterable[int]) -> Allocation:
@@ -22,14 +27,21 @@ def execute(instance: Instance, sequence: PickingSequence | Iterable[int]) -> Al
     if any(not 0 <= a < instance.n for a in turns):
         raise ValueError(f"sequence references an agent outside 1..{instance.n}")
 
-    remaining = list(range(instance.m))
+    _, rows = integer_utilities(instance)
+    taken = [False] * instance.m
+    orders: dict[int, list[int]] = {}
+    next_pick = [0] * instance.n
     bundles = [set() for _ in range(instance.n)]
     for agent in turns:
-        row = instance.utilities[agent]
-        pick = remaining[0]
-        for g in remaining[1:]:
-            if row[g] > row[pick]:
-                pick = g
+        order = orders.get(agent)
+        if order is None:
+            # a stable descending sort keeps equal values in index order
+            order = orders[agent] = sorted(range(instance.m), key=rows[agent].__getitem__, reverse=True)
+        k = next_pick[agent]
+        while taken[order[k]]:
+            k += 1
+        pick = order[k]
+        next_pick[agent] = k + 1
+        taken[pick] = True
         bundles[agent].add(pick)
-        remaining.remove(pick)
     return Allocation(tuple(frozenset(b) for b in bundles))

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Allocation, Instance, PickingSequence, bundle_utility, integer_weights, turns_of
+from .core import (
+    Allocation,
+    Instance,
+    PickingSequence,
+    integer_utilities,
+    integer_weights,
+    turns_of,
+)
 from .methods import DivisorFunction
 
 NOTIONS = ("wef1", "wwef1", "wprop1")
@@ -67,54 +74,69 @@ def check_allocation(
     envied bundle that the envier values most; under additive utilities
     removing (or hypothetically adding) that item is optimal, so no subset
     enumeration is needed.
+
+    Every inequality weighs agent i's values against agent i's values, so
+    it is decided in integers: on the rows of ``integer_utilities`` (agent
+    i's scaled by s_i) and the weights of ``integer_weights``, through one
+    n x n table value[i][j] of agent i's scaled value for bundle j.  The
+    witness divides back by s_i and the weights.
     """
     _check_notion(notion)
     allocation.validate_for(instance)
-    n = instance.n
-    own = [bundle_utility(instance, i, allocation.bundles[i]) for i in range(n)]
+    scales, rows = integer_utilities(instance)
+    weights = integer_weights(instance.weights)
+    bundles = [sorted(b) for b in allocation.bundles]
+    value = [[sum(row[g] for g in b) for b in bundles] for row in rows]
 
     if notion == "wprop1":
-        everything = frozenset(range(instance.m))
-        for i in range(n):
-            share = instance.weights[i] / instance.total_weight
-            outside = everything - allocation.bundles[i]
-            best_outside = max(
-                (instance.utilities[i][g] for g in outside), default=Fraction(0)
-            )
-            rhs = share * bundle_utility(instance, i, everything) - best_outside
-            if own[i] < rhs:
+        total_weight = sum(weights)
+        for i, row in enumerate(rows):
+            own, everything = value[i][i], sum(value[i])
+            mine = allocation.bundles[i]
+            best_outside = max((u for g, u in enumerate(row) if g not in mine), default=0)
+            # own < w_i/W * everything - best_outside, times s_i * W
+            rhs = weights[i] * everything - best_outside * total_weight
+            if own * total_weight < rhs:
                 return FairnessVerdict(
-                    notion, False, Witness(lhs=own[i], rhs=rhs, agent=i)
+                    notion,
+                    False,
+                    Witness(
+                        lhs=Fraction(own, scales[i]),
+                        rhs=Fraction(rhs, scales[i] * total_weight),
+                        agent=i,
+                    ),
                 )
         return FairnessVerdict(notion, True)
 
-    for i in range(n):
-        for j in range(n):
+    for i, row in enumerate(rows):
+        own, w_i = value[i][i], weights[i]
+        for j, bundle_j in enumerate(bundles):
             if i == j:
                 continue
-            bundle_j = allocation.bundles[j]
-            their = bundle_utility(instance, i, bundle_j)
-            best = max(
-                (g for g in bundle_j),
-                key=lambda g: (instance.utilities[i][g], -g),
-                default=None,
-            )
+            their, w_j = value[i][j], weights[j]
+            # the item of bundle j agent i values most, ties to the lowest index
+            best = max(bundle_j, key=row.__getitem__, default=None)
             removed = frozenset() if best is None else frozenset({best})
-            drop = instance.utilities[i][best] if best is not None else Fraction(0)
-            lhs = own[i] / instance.weights[i]
-            rhs = (their - drop) / instance.weights[j]
-            if lhs >= rhs:
+            drop = 0 if best is None else row[best]
+            # own/w_i >= (their - drop)/w_j, times s_i and the weights' scale
+            if own * w_j >= (their - drop) * w_i:
                 continue
+            lhs_num, rhs_num = own, their - drop
             if notion == "wwef1":
                 # hypothetically add the same item to i's own bundle instead
-                if (own[i] + drop) / instance.weights[i] >= their / instance.weights[j]:
+                if (own + drop) * w_j >= their * w_i:
                     continue
-                rhs = their / instance.weights[j]
-                lhs = (own[i] + drop) / instance.weights[i]
+                lhs_num, rhs_num = own + drop, their
             return FairnessVerdict(
                 notion,
                 False,
-                Witness(lhs=lhs, rhs=rhs, agent=i, against=j, removed=removed),
+                Witness(
+                    lhs=Fraction(lhs_num, scales[i]) / instance.weights[i],
+                    rhs=Fraction(rhs_num, scales[i]) / instance.weights[j],
+                    agent=i,
+                    against=j,
+                    removed=removed,
+                ),
             )
     return FairnessVerdict(notion, True)
 

@@ -1,9 +1,19 @@
 """Exact maximum weighted Nash welfare by exhaustive enumeration.
 
 The objective is the weighted product of bundle utilities.  Rational
-weights are scaled to a common-denominator integer exponent vector, so two
-allocations compare through exact big-integer (Fraction) products; no
-logarithm ever enters the decision path.
+weights are scaled to a common-denominator integer exponent vector e, and
+the solver works on the integer utility rows of ``core.integer_utilities``,
+agent i's scaled by s_i.  Within one support S that scale multiplies every
+product by the same constant, the product of s_i^e_i over S, so two
+allocations with equal supports compare through exact big-integer products
+of the scaled utilities; no logarithm and no Fraction enters the decision
+path.  ``score`` and ``WelfareScore`` give the same order on the unscaled
+Fraction values.
+
+The products can be too large to form: weights 1/1000003 and 1/1000005
+give exponents near 10^6.  Before the search, the solver bounds the size
+of the largest product by the sum of e_i times the bit length of agent i's
+total scaled utility, and refuses instances above ``MAX_PRODUCT_BITS``.
 
 When no allocation can give every agent positive utility, the rule falls
 back to the zero-welfare tie-breaking convention: prefer allocations whose
@@ -18,16 +28,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
-from .core import Allocation, Instance, allocation_utilities
+from .core import Allocation, Instance, allocation_utilities, integer_utilities
 
 DEFAULT_BUDGET = 4_000_000
+# One multiplication of two 10^6-bit integers takes about 0.1 s (CPython
+# 3.11, 2-core x86-64 VM).  The largest size bound among the tests, the
+# catalog and the benchmark is about 2 * 10^4 bits, and four-digit vote
+# shares p/10000 at 4 agents x 7 items reach about 2 * 10^5.
+MAX_PRODUCT_BITS = 1_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """The assignment space is too large to enumerate; use a smaller instance."""
+    """The assignment space or the welfare products are too large to work
+    through; use a smaller instance."""
 
 
 def weight_exponents(weights: Sequence[Fraction]) -> tuple[int, ...]:
@@ -100,6 +116,15 @@ def solve(
     are skipped; the result is identical to the unpruned enumeration
     because equal-score leaves always lose the lexicographic tie-break to
     the earlier incumbent.
+
+    A leaf is ranked by (support size, sorted support, product) as
+    ``WelfareScore.compare`` ranks it, on integer products.  Every u^e_i is
+    computed once per solve and cached per agent and utility value with its
+    bit length.  A product of k powers whose bit lengths sum to b has a bit
+    length from b - k + 1 to b, so when that window lies wholly above or
+    below the incumbent's bit length the order is known without
+    multiplying; otherwise a leaf or a bound costs at most n big-integer
+    multiplications.
     """
     n, m = instance.n, instance.m
     if n**m > budget:
@@ -108,44 +133,82 @@ def solve(
             "reduce the instance or raise the budget"
         )
     exponents = weight_exponents(instance.weights)
-    utilities = instance.utilities
+    _, rows = integer_utilities(instance)
+    bits = sum(e * sum(row).bit_length() for e, row in zip(exponents, rows))
+    if bits > MAX_PRODUCT_BITS:
+        raise BudgetExceededError(
+            f"the welfare products need up to {bits} bits (weight exponents up to "
+            f"{max(exponents)}), above the limit of {MAX_PRODUCT_BITS}; "
+            "use weights with smaller denominators"
+        )
 
-    # rest[j][i]: agent i's utility for all items from j onward
-    rest = [[Fraction(0)] * n for _ in range(m + 1)]
+    # rest[j][i]: agent i's scaled utility for all items from j onward
+    rest = [[0] * n for _ in range(m + 1)]
     for j in range(m - 1, -1, -1):
         for i in range(n):
-            rest[j][i] = rest[j + 1][i] + utilities[i][j]
+            rest[j][i] = rest[j + 1][i] + rows[i][j]
 
+    # powers[i][u]: u ** e_i and its bit length, each computed once per solve
+    powers: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
+
+    def factors(values: Sequence[int], agents: Sequence[int]) -> tuple[int, list[int]]:
+        """The sum of the bit lengths of the powers values[i] ** e_i, and the powers."""
+        bits, out = 0, []
+        for i in agents:
+            entry = powers[i].get(values[i])
+            if entry is None:
+                p = values[i] ** exponents[i]
+                entry = powers[i][values[i]] = (p, p.bit_length())
+            out.append(entry[0])
+            bits += entry[1]
+        return bits, out
+
+    everyone = tuple(range(n))
     best_assign: list[int] | None = None
-    best_score: WelfareScore | None = None
-    current = [Fraction(0)] * n
+    # the incumbent's rank: support size, sorted support, scaled product
+    best_size, best_support, best_product, best_bits = -1, (), 0, 0
+    current = [0] * n
     assign = [0] * m
 
     def recurse(j: int) -> None:
-        nonlocal best_assign, best_score
+        nonlocal best_assign, best_size, best_support, best_product, best_bits
         if j == m:
-            cand = _score_from_utilities(n, tuple(current), exponents)
-            if best_score is None or cand.compare(best_score) > 0:
-                best_score = cand
-                best_assign = assign.copy()
-            return
-        if prune and best_score is not None and best_score.is_positive:
-            bound = Fraction(1)
-            for i in range(n):
-                reach = current[i] + rest[j][i]
-                if reach == 0:
-                    bound = Fraction(0)
-                    break
-                bound *= reach ** exponents[i]
-            if bound <= best_score.product:
+            if best_size == n:
+                if 0 in current:
+                    return
+                support = everyone
+            else:
+                support = tuple(i for i in everyone if current[i])
+                if len(support) < best_size or (len(support) == best_size and support > best_support):
+                    return
+            bits, terms = factors(current, support)
+            if support == best_support and bits < best_bits:
                 return
-        for a in range(n):
+            cand = prod(terms)
+            if support == best_support and cand <= best_product:
+                return
+            best_size, best_support, best_product = len(support), support, cand
+            best_bits = cand.bit_length()
+            best_assign = assign.copy()
+            return
+        if prune and best_size == n:
+            reach = [current[i] + rest[j][i] for i in everyone]
+            if 0 in reach:
+                return
+            bits, terms = factors(reach, everyone)
+            if bits < best_bits or (bits - n < best_bits and prod(terms) <= best_product):
+                return
+        row_j = [row[j] for row in rows]
+        for a in everyone:
             assign[j] = a
-            current[a] += utilities[a][j]
+            current[a] += row_j[a]
             recurse(j + 1)
-            current[a] -= utilities[a][j]
+            current[a] -= row_j[a]
 
     recurse(0)
+    # recurse refers to itself through its closure; breaking that cycle
+    # frees the power caches now rather than at a later full collection
+    del recurse
     assert best_assign is not None
     bundles = [set() for _ in range(n)]
     for j, a in enumerate(best_assign):

@@ -1,9 +1,12 @@
-"""Reference generators and verifiers: the direct, unoptimized forms.
+"""Reference generators, verifiers and solvers: the direct, unoptimized forms.
 
 These are the per-kind score comparison, the O(n) argmin per turn, and
 the O(n^2) Fraction scan per prefix that the library replaced with order
-keys, a heap and incremental integer checks.  The differential tests
-require the library to agree with them exactly, witnesses included.
+keys, a heap and incremental integer checks; and the Fraction forms of
+truthful picking, the allocation verifiers, the envy graph and the MWNW
+search that the library replaced with integer-scaled utility rows.  The
+differential tests require the library to agree with them exactly,
+witnesses included.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from pickseq.core import PickingSequence
+from pickseq.core import Allocation, Instance, PickingSequence, bundle_utility
 from pickseq.fairness import FairnessVerdict, Witness
 from pickseq.methods import DivisorFunction, PrecisionError
+from pickseq.mwnw import WelfareScore, weight_exponents
 
 
 def _sign(q) -> int:
@@ -162,3 +166,118 @@ def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
         if compare_products(f, Fraction(t + 2), t, Fraction(t + 1), t + 1) > 0:
             return FairnessVerdict("wwef1", False, Witness(lhs=Fraction(t + 1, t + 2), rhs=ratio(t), t=t))
     return FairnessVerdict("wwef1", True)
+
+
+def execute(instance: Instance, turns) -> Allocation:
+    remaining = list(range(instance.m))
+    bundles = [set() for _ in range(instance.n)]
+    for agent in turns:
+        row = instance.utilities[agent]
+        pick = remaining[0]
+        for g in remaining[1:]:
+            if row[g] > row[pick]:
+                pick = g
+        bundles[agent].add(pick)
+        remaining.remove(pick)
+    return Allocation(tuple(frozenset(b) for b in bundles))
+
+
+def envy_edges(instance: Instance, bundles) -> list[list[bool]]:
+    n = instance.n
+    own = [bundle_utility(instance, i, bundles[i]) for i in range(n)]
+    edges = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and bundle_utility(instance, i, bundles[j]) > own[i]:
+                edges[i][j] = True
+    return edges
+
+
+def check_allocation(notion: str, instance: Instance, allocation: Allocation) -> FairnessVerdict:
+    n = instance.n
+    own = [bundle_utility(instance, i, allocation.bundles[i]) for i in range(n)]
+    if notion == "wprop1":
+        everything = frozenset(range(instance.m))
+        for i in range(n):
+            share = instance.weights[i] / sum(instance.weights, Fraction(0))
+            outside = everything - allocation.bundles[i]
+            best_outside = max((instance.utilities[i][g] for g in outside), default=Fraction(0))
+            rhs = share * bundle_utility(instance, i, everything) - best_outside
+            if own[i] < rhs:
+                return FairnessVerdict(notion, False, Witness(lhs=own[i], rhs=rhs, agent=i))
+        return FairnessVerdict(notion, True)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            bundle_j = allocation.bundles[j]
+            their = bundle_utility(instance, i, bundle_j)
+            best = max(bundle_j, key=lambda g: (instance.utilities[i][g], -g), default=None)
+            removed = frozenset() if best is None else frozenset({best})
+            drop = instance.utilities[i][best] if best is not None else Fraction(0)
+            lhs = own[i] / instance.weights[i]
+            rhs = (their - drop) / instance.weights[j]
+            if lhs >= rhs:
+                continue
+            if notion == "wwef1":
+                if (own[i] + drop) / instance.weights[i] >= their / instance.weights[j]:
+                    continue
+                rhs = their / instance.weights[j]
+                lhs = (own[i] + drop) / instance.weights[i]
+            return FairnessVerdict(
+                notion, False, Witness(lhs=lhs, rhs=rhs, agent=i, against=j, removed=removed)
+            )
+    return FairnessVerdict(notion, True)
+
+
+def welfare_score(n: int, utilities, exponents) -> WelfareScore:
+    support = frozenset(i for i in range(n) if utilities[i] > 0)
+    product = Fraction(1)
+    for i in support:
+        product *= utilities[i] ** exponents[i]
+    return WelfareScore(n, support, tuple(utilities), exponents, product)
+
+
+def mwnw_solve(instance: Instance, prune: bool = True) -> Allocation:
+    """Lexicographic DFS over Fraction utilities, one WelfareScore per leaf."""
+    n, m = instance.n, instance.m
+    exponents = weight_exponents(instance.weights)
+    utilities = instance.utilities
+    rest = [[Fraction(0)] * n for _ in range(m + 1)]
+    for j in range(m - 1, -1, -1):
+        for i in range(n):
+            rest[j][i] = rest[j + 1][i] + utilities[i][j]
+    best_assign = None
+    best_score = None
+    current = [Fraction(0)] * n
+    assign = [0] * m
+
+    def recurse(j: int) -> None:
+        nonlocal best_assign, best_score
+        if j == m:
+            cand = welfare_score(n, current, exponents)
+            if best_score is None or cand.compare(best_score) > 0:
+                best_score = cand
+                best_assign = assign.copy()
+            return
+        if prune and best_score is not None and best_score.is_positive:
+            bound = Fraction(1)
+            for i in range(n):
+                reach = current[i] + rest[j][i]
+                if reach == 0:
+                    bound = Fraction(0)
+                    break
+                bound *= reach ** exponents[i]
+            if bound <= best_score.product:
+                return
+        for a in range(n):
+            assign[j] = a
+            current[a] += utilities[a][j]
+            recurse(j + 1)
+            current[a] -= utilities[a][j]
+
+    recurse(0)
+    bundles = [set() for _ in range(n)]
+    for j, a in enumerate(best_assign):
+        bundles[a].add(j)
+    return Allocation(tuple(frozenset(b) for b in bundles))

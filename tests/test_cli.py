@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +257,24 @@ def test_scan_empty_bounds_exit_two(capsys):
                                  flag, value)
         assert code == 2 and out == ""
         assert f"scan needs {name} >= 1, got {value}" in err
+
+
+def test_mwnw_huge_exponents_exit_two_quickly():
+    # weights 1/1000003 and 1/1000005 give exponents near 10^6: the solver
+    # must refuse the instance before it forms a single product
+    instance = json.dumps({
+        "agents": [{"weight": "1/1000003"}, {"weight": "1/1000005"}],
+        "items": 6,
+        "utilities": [[3, 1, 4, 1, 5, 9], [2, 6, 5, 3, 5, 8]],
+    })
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pickseq", "mwnw", "--json", "--instance", instance],
+                          capture_output=True, text=True, env=env, timeout=30)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2 and done.stdout == ""
+    assert "welfare products need up to" in done.stderr and "above the limit" in done.stderr
+    assert elapsed < 1.0
 
 
 def test_inexact_method_is_refused(capsys):

@@ -10,6 +10,7 @@ from pickseq.core import (
     ParseError,
     bundle_utility,
     format_rational,
+    integer_utilities,
     parse_allocation,
     parse_instance,
     parse_rational,
@@ -62,6 +63,38 @@ def test_bundle_utility_index_errors():
         bundle_utility(inst, 3, {0})
     with pytest.raises(ValueError):
         bundle_utility(inst, 0, {5})
+
+
+def test_integer_utilities_keeps_integer_rows():
+    scales, rows = integer_utilities(Instance((1, 2, 3), FLIP_TABLE))
+    assert scales == (1, 1, 1)
+    assert rows == FLIP_TABLE
+    assert all(type(u) is int for row in rows for u in row)
+
+
+def test_integer_utilities_smallest_integer_multiple():
+    inst = Instance(
+        (1, 1, 1),
+        (
+            (Fraction(1, 2), Fraction(1, 3), Fraction(5, 6), 2),
+            (Fraction(2, 3), Fraction(4, 3), 0, Fraction(2, 9)),
+            (Fraction(3, 4), 1, Fraction(1, 4), Fraction(1, 4)),
+        ),
+    )
+    scales, rows = integer_utilities(inst)
+    assert scales == (6, 9, 4)
+    assert rows == ((3, 2, 5, 12), (6, 12, 0, 2), (3, 4, 1, 1))
+    for scale, row, original in zip(scales, rows, inst.utilities):
+        assert all(u * scale == v for u, v in zip(original, row))
+        # no smaller positive multiple of the row is integral
+        assert all(any((u * k).denominator != 1 for u in original) for k in range(1, scale))
+
+
+def test_integer_utilities_zero_row_and_no_items():
+    scales, rows = integer_utilities(Instance((1, 2), ((0, 0, 0), (Fraction(1, 5), 0, 1))))
+    assert scales == (1, 5)
+    assert rows == ((0, 0, 0), (1, 0, 5))
+    assert integer_utilities(Instance((1, Fraction(1, 2)), ((), ()))) == ((1, 1), ((), ()))
 
 
 def test_instance_validation():

@@ -1,8 +1,10 @@
-"""The order-key generators and the incremental integer verifiers against
-the direct reference forms in ``reference.py``, on seeded draws.
+"""The order-key generators, the incremental integer verifiers and the
+integer-scaled allocation layer against the direct reference forms in
+``reference.py``, on seeded draws.
 
-Sequences must be equal, and verdicts equal as whole values: holds, and
-the witness's lhs, rhs, agent, against, prefix and t.
+Sequences and allocations must be equal, and verdicts equal as whole
+values: holds, and the witness's lhs, rhs, agent, against, prefix, removed
+set and t.
 """
 
 import random
@@ -11,7 +13,11 @@ from fractions import Fraction
 import pytest
 
 import reference
+from pickseq.baselines import _envy_edges
+from pickseq.core import Allocation, Instance, integer_utilities
+from pickseq.executor import execute
 from pickseq.fairness import (
+    check_allocation,
     check_quota_bounds,
     check_sequence,
     divisor_wwef1_condition,
@@ -26,6 +32,7 @@ from pickseq.methods import (
     quota_sequence,
     stationary,
 )
+from pickseq.mwnw import solve
 
 NOTIONS = ("wef1", "wwef1", "wprop1")
 MEAN_WEIGHTS = (0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), 1)
@@ -138,3 +145,68 @@ def test_evaluation_failures_match_reference():
         assert impl(strict, 3, 1, (1, 2, 3)).turns == (0,)
         with pytest.raises(PrecisionError):
             impl(strict, 3, 3, (1, 2, 3))
+
+
+def draw_instance(rng, max_n, max_m):
+    """Integer or p/q weights and utilities, with all-zero rows and zero
+    entries common, so that many optima have a support smaller than n."""
+    n, m = rng.randint(1, max_n), rng.randint(0, max_m)
+    weights = draw_weights(rng, n)
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.15:
+            rows.append((0,) * m)
+            continue
+        rational = rng.random() < 0.5
+        rows.append(tuple(
+            0 if rng.random() < 0.3
+            else Fraction(rng.randint(1, 9), rng.randint(1, 9) if rational else 1)
+            for _ in range(m)
+        ))
+    return Instance(weights, tuple(rows))
+
+
+def random_allocation(rng, n, m):
+    owner = [rng.randrange(n) for _ in range(m)]
+    return Allocation(tuple(frozenset(g for g in range(m) if owner[g] == i) for i in range(n)))
+
+
+def test_solve_matches_reference():
+    rng = random.Random(5105)
+    partial_supports = 0
+    for _ in range(300):
+        inst = draw_instance(rng, 4, 6)
+        while inst.n ** inst.m > 1024:
+            inst = draw_instance(rng, 4, 6)
+        for prune in (True, False):
+            got = solve(inst, prune=prune)
+            assert got == reference.mwnw_solve(inst, prune=prune), (inst, prune)
+        partial_supports += any(
+            not any(inst.utilities[i][g] for g in got.bundles[i]) for i in range(inst.n)
+        )
+    # optima that leave some agent at zero utility are a good share of the draws
+    assert partial_supports >= 100
+
+
+def test_allocation_verdicts_match_reference():
+    rng = random.Random(5106)
+    for _ in range(400):
+        inst = draw_instance(rng, 5, 9)
+        allocations = [random_allocation(rng, inst.n, inst.m)]
+        allocations.append(execute(inst, [rng.randrange(inst.n) for _ in range(inst.m)]))
+        for allocation in allocations:
+            for notion in NOTIONS:
+                assert check_allocation(notion, inst, allocation) == reference.check_allocation(
+                    notion, inst, allocation
+                ), (notion, inst, allocation)
+
+
+def test_execute_and_envy_edges_match_reference():
+    rng = random.Random(5107)
+    for _ in range(400):
+        inst = draw_instance(rng, 5, 12)
+        turns = [rng.randrange(inst.n) for _ in range(inst.m)]
+        assert execute(inst, turns) == reference.execute(inst, turns), (inst, turns)
+        bundles = [set(b) for b in random_allocation(rng, inst.n, inst.m).bundles]
+        _, rows = integer_utilities(inst)
+        assert _envy_edges(rows, bundles) == reference.envy_edges(inst, bundles), (inst, bundles)

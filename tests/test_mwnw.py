@@ -6,6 +6,7 @@ import pytest
 
 from pickseq.core import Allocation, Instance
 from pickseq.fairness import check_allocation
+from pickseq import mwnw
 from pickseq.mwnw import (
     BudgetExceededError,
     score,
@@ -156,3 +157,14 @@ def test_budget_guard():
     )
     with pytest.raises(BudgetExceededError):
         solve(inst, budget=1000)
+
+
+def test_product_size_guard(monkeypatch):
+    # exponents (3, 2) and scaled totals 7 and 10 (rows scaled by 2 and 1):
+    # 3 * (7).bit_length() + 2 * (10).bit_length() = 17 bits
+    inst = Instance((Fraction(1, 2), Fraction(1, 3)), ((1, Fraction(3, 2), 1), (4, 3, 3)))
+    monkeypatch.setattr(mwnw, "MAX_PRODUCT_BITS", 17)
+    assert solve(inst) == solve(inst, prune=False)
+    monkeypatch.setattr(mwnw, "MAX_PRODUCT_BITS", 16)
+    with pytest.raises(BudgetExceededError, match="need up to 17 bits"):
+        solve(inst)
