@@ -251,7 +251,11 @@ def _cmd_mwnw(args) -> int:
 
 
 def _load_perturbation(arg: str, prop: str, instance: Instance):
+    """The monotonicity comparison the perturbation document describes, as a
+    function of the rule."""
     doc = json.loads(_load_text_or_file(arg))
+    if not isinstance(doc, dict):
+        raise ParseError("perturb", "expected a JSON object")
     kind = doc.get("kind", prop)
     if kind != prop:
         raise ParseError("perturb.kind", f"perturbation kind {kind!r} does not match --property {prop!r}")
@@ -259,31 +263,26 @@ def _load_perturbation(arg: str, prop: str, instance: Instance):
         utilities = doc.get("utilities")
         if not isinstance(utilities, list) or len(utilities) != instance.n:
             raise ParseError("perturb.utilities", f"need one utility per agent ({instance.n})")
-        return [parse_rational(u, "perturb.utilities") for u in utilities]
+        column = [parse_rational(u, "perturb.utilities") for u in utilities]
+        return lambda rule: compare_resource(rule, instance, column)
     if prop == "population":
         utilities = doc.get("utilities")
         if not isinstance(utilities, list) or len(utilities) != instance.m:
             raise ParseError("perturb.utilities", f"need one utility per item ({instance.m})")
         weight = parse_rational(doc.get("weight"), "perturb.weight")
-        return weight, [parse_rational(u, "perturb.utilities") for u in utilities]
+        row = [parse_rational(u, "perturb.utilities") for u in utilities]
+        return lambda rule: compare_population(rule, instance, weight, row)
     agent = doc.get("agent")
-    if not isinstance(agent, int) or not 1 <= agent <= instance.n:
+    if isinstance(agent, bool) or not isinstance(agent, int) or not 1 <= agent <= instance.n:
         raise ParseError("perturb.agent", f"need a 1-indexed agent in 1..{instance.n}")
-    return agent - 1, parse_rational(doc.get("weight"), "perturb.weight")
+    weight = parse_rational(doc.get("weight"), "perturb.weight")
+    return lambda rule: compare_weight(rule, instance, agent - 1, weight)
 
 
 def _cmd_mono(args) -> int:
     instance = _load_instance(args.instance)
     rule = rule_from_name(args.rule)
-    perturbation = _load_perturbation(args.perturb, args.property, instance)
-    if args.property == "resource":
-        report = compare_resource(rule, instance, perturbation)
-    elif args.property == "population":
-        weight, row = perturbation
-        report = compare_population(rule, instance, weight, row)
-    else:
-        agent, weight = perturbation
-        report = compare_weight(rule, instance, agent, weight)
+    report = _load_perturbation(args.perturb, args.property, instance)(rule)
     _emit(_report_payload(report), args.json, _report_text(report))
     return 1 if report.violated else 0
 
@@ -302,44 +301,37 @@ def _cmd_consistency(args) -> int:
         family = lambda n, m, w: sequence_for_rule(rule, n, m, w)
         consistent = check_resource_consistency(family, len(weights), args.turns, weights)
         payload.update({"method": rule.name, "turns": args.turns})
-    elif args.kind == "population":
-        if args.method is not None:
-            _require(args, "population consistency from a method", "weights", "turns", "new-weight")
-            weights = _parse_weights(args.weights)
-            rule = rule_from_name(args.method)
-            new_w = parse_rational(args.new_weight, "new-weight")
-            base = sequence_for_rule(rule, len(weights), args.turns, weights)
-            grown = sequence_for_rule(rule, len(weights) + 1, args.turns, weights + (new_w,))
-            consistent = check_population_consistency_pair(base, grown, len(weights))
-            payload.update({"method": rule.name})
-        else:
-            _require(args, "population consistency", "base", "modified", "new-agent")
-            base = _load_sequence(args.base)
-            grown = _load_sequence(args.modified)
-            consistent = check_population_consistency_pair(base, grown, args.new_agent - 1)
     else:
-        if args.method is not None:
-            _require(args, "weight consistency from a method", "weights", "turns", "agent", "new-weight")
+        # resolve (base, modified, agent) once, from explicit sequences or a method
+        population = args.kind == "population"
+        if args.method is None:
+            agent_flag = "new-agent" if population else "agent"
+            _require(args, f"{args.kind} consistency", "base", "modified", agent_flag)
+            agent = (args.new_agent if population else args.agent) - 1
+            if agent < 0:
+                raise ParseError(agent_flag, f"must be a 1-indexed agent, got {agent + 1}")
+            base, modified = _load_sequence(args.base), _load_sequence(args.modified)
+        else:
+            needed = ("weights", "turns") + (() if population else ("agent",)) + ("new-weight",)
+            _require(args, f"{args.kind} consistency from a method", *needed)
             weights = _parse_weights(args.weights)
             rule = rule_from_name(args.method)
-            agent = args.agent - 1
-            if not 0 <= agent < len(weights):
-                raise ParseError("agent", f"must lie in 1..{len(weights)}")
-            new_w = parse_rational(args.new_weight, "new-weight")
-            if new_w <= weights[agent]:
-                raise ParseError("new-weight", "must exceed the agent's current weight")
-            boosted = tuple(
-                new_w if i == agent else w for i, w in enumerate(weights)
-            )
+            payload["method"] = rule.name
+            if population:
+                agent = len(weights)
+                changed = weights + (parse_rational(args.new_weight, "new-weight"),)
+            else:
+                agent = args.agent - 1
+                if not 0 <= agent < len(weights):
+                    raise ParseError("agent", f"must lie in 1..{len(weights)}")
+                new_w = parse_rational(args.new_weight, "new-weight")
+                if new_w <= weights[agent]:
+                    raise ParseError("new-weight", "must exceed the agent's current weight")
+                changed = weights[:agent] + (new_w,) + weights[agent + 1 :]
             base = sequence_for_rule(rule, len(weights), args.turns, weights)
-            moved = sequence_for_rule(rule, len(weights), args.turns, boosted)
-            consistent = check_weight_consistency_pair(base, moved, agent)
-            payload.update({"method": rule.name})
-        else:
-            _require(args, "weight consistency", "base", "modified", "agent")
-            base = _load_sequence(args.base)
-            moved = _load_sequence(args.modified)
-            consistent = check_weight_consistency_pair(base, moved, args.agent - 1)
+            modified = sequence_for_rule(rule, len(changed), args.turns, changed)
+        check = check_population_consistency_pair if population else check_weight_consistency_pair
+        consistent = check(base, modified, agent)
     payload["consistent"] = consistent
     _emit(payload, args.json, f"{args.kind}-consistency: {'holds' if consistent else 'VIOLATED'}")
     return 0 if consistent else 1
@@ -515,10 +507,7 @@ def main(argv=None) -> int:
         print(f"error: method {exc.method} has no exact comparison and is not available from the CLI",
               file=sys.stderr)
         return 2
-    except (ParseError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, BudgetExceededError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

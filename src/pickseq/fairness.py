@@ -28,7 +28,7 @@ from .core import (
     integer_weights,
     turns_of,
 )
-from .methods import DivisorFunction
+from .methods import DivisorFunction, PrecisionError
 
 NOTIONS = ("wef1", "wwef1", "wprop1")
 
@@ -200,7 +200,8 @@ def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
 
     This single-variable condition characterizes the divisor functions
     whose picking sequences guarantee wwef1.  Both inequalities are decided
-    in integers on f's order form, or on its keys when it has none.
+    in integers on f's order form; a family without one raises
+    ``PrecisionError``.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -211,10 +212,11 @@ def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
         assert num is not None and den is not None and den > 0
         return num / den
 
-    def exceeds(c1: int, s1: int, form1, c2: int, s2: int, form2) -> bool:
-        """c1*f(s1) > c2*f(s2) for positive integers c1, c2."""
+    def exceeds(c1: int, form1, c2: int, form2) -> bool:
+        """c1*x1 > c2*x2 for positive integers c1, c2, where form1 and form2
+        are the order forms of the values x1 and x2 of f."""
         if form1 is None or form2 is None:
-            return f.key(s1, Fraction(1, c1)) > f.key(s2, Fraction(1, c2))
+            raise PrecisionError(f.name)
         (n1, d1, e), (n2, d2, _) = form1, form2
         if n1 == 0 or n2 == 0:
             return n2 == 0 and n1 != 0
@@ -226,14 +228,14 @@ def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
     for t in range(t_max + 1):
         following = f.order_form(t + 1)
         # left:  t * f(t+1) <= (t+1) * f(t), which holds trivially at t = 0
-        if t > 0 and exceeds(t, t + 1, following, t + 1, t, current):
+        if t > 0 and exceeds(t, following, t + 1, current):
             return FairnessVerdict(
                 "wwef1",
                 False,
                 Witness(lhs=ratio(t), rhs=Fraction(t, t + 1), t=t),
             )
         # right: (t+2) * f(t) <= (t+1) * f(t+1)
-        if exceeds(t + 2, t, current, t + 1, t + 1, following):
+        if exceeds(t + 2, current, t + 1, following):
             return FairnessVerdict(
                 "wwef1",
                 False,

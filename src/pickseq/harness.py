@@ -19,24 +19,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from . import baselines, mwnw
+from . import mwnw
 from .core import Allocation, Instance, PickingSequence, allocation_utilities, turns_of
 from .executor import execute
 from .fairness import FairnessVerdict, check_allocation, check_sequence, zero_one_instance
-from .methods import Rule, divisor_sequence, quota_sequence
+from .methods import Rule
 
 MONOTONICITY_KINDS = ("resource", "population", "weight")
 
 
 def sequence_for_rule(rule: Rule, n: int, m: int, weights: Sequence) -> PickingSequence:
     """The picking sequence a sequence-based rule uses at this size."""
-    if rule.kind == "divisor":
-        return divisor_sequence(rule.divisor, n, m, weights)
-    if rule.kind == "quota":
-        return quota_sequence(n, m, weights)
-    if rule.kind == "round_robin":
-        return baselines.round_robin_sequence(n, m)
-    raise ValueError(f"rule {rule.name!r} is not sequence-based")
+    if not rule.is_sequence_based:
+        raise ValueError(f"rule {rule.name!r} is not sequence-based")
+    return rule.spec.sequence(rule.divisor, n, m, weights)
 
 
 def apply_rule(rule: Rule, instance: Instance, budget: int = mwnw.DEFAULT_BUDGET) -> Allocation:
@@ -44,13 +40,7 @@ def apply_rule(rule: Rule, instance: Instance, budget: int = mwnw.DEFAULT_BUDGET
     if rule.is_sequence_based:
         seq = sequence_for_rule(rule, instance.n, instance.m, instance.weights)
         return execute(instance, seq)
-    if rule.kind == "mwnw":
-        return mwnw.solve(instance, budget=budget)
-    if rule.kind == "envy_cycle":
-        return baselines.envy_cycle_eliminate(instance)
-    if rule.kind == "adjusted_winner":
-        return baselines.adjusted_winner(instance)
-    raise ValueError(f"unknown rule kind {rule.kind!r}")
+    return rule.spec.allocate(instance, budget)
 
 
 @dataclass(frozen=True)
@@ -255,6 +245,10 @@ def scan(
     for name, value in (("trials", trials), ("max_n", max_n), ("max_m", max_m)):
         if value < 1:
             raise ValueError(f"scan needs {name} >= 1, got {value}")
+    fixed_n = rule.spec.agents
+    if fixed_n is not None and (property == "population" or max_n < fixed_n):
+        raise ValueError(f"rule {rule.name} runs on exactly {fixed_n} agents: scan it with "
+                         f"max_n >= {fixed_n} on a property other than population")
     min_n = 2 if max_n >= 2 else 1
 
     for trial in range(trials):
@@ -272,10 +266,9 @@ def scan(
                 )
             continue
 
-        forced_n = 2 if rule.kind == "adjusted_winner" else None
         base = random_instance(
             rng, max_n, max_m, min_n=min_n, max_util=max_util,
-            max_weight=max_weight, n=forced_n,
+            max_weight=max_weight, n=fixed_n,
         )
         if is_fairness:
             verdict = check_allocation(property, base, apply_rule(rule, base))

@@ -6,34 +6,29 @@ t <= f(t) <= t+1.  The quota method restricts the Jefferson rule
 (f(t) = t+1) to agents still below their proportional upper quota.
 
 Scores compare through one exact order key per family, a power of f(t)/w
-that clears any root (``DivisorFunction.key``).  Only power means with
-non-integer exponent fall back to high-precision arithmetic, off by default.
+that clears any root (``DivisorFunction.key``).  Power means with a
+non-integer, non-zero exponent have no such key and raise ``PrecisionError``.
+What depends on a kind is read from ``DIVISOR_FAMILIES`` and ``RULE_KINDS``.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import math
-import os
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .core import PickingSequence, format_rational, integer_weights, parse_rational
-
-PRECISION_ENV_VAR = "FAIRSEQ_PRECISION_BITS"
-DEFAULT_PRECISION_BITS = 128
+from . import baselines, mwnw
+from .core import ParseError, PickingSequence, format_rational, integer_weights, parse_rational
 
 
 class PrecisionError(ValueError):
-    """Comparison cannot be made exact and approximation was not allowed."""
+    """A comparison has no exact form."""
 
     def __init__(self, method: str):
         self.method = method
-        super().__init__(f"{method} has no exact comparison; construct it with "
-                         "allow_approx=True to use the high-precision fallback")
+        super().__init__(f"{method} has no exact comparison")
 
 
 def _as_rational(value) -> Fraction:
@@ -46,15 +41,11 @@ def _as_rational(value) -> Fraction:
 
 @dataclass(frozen=True)
 class DivisorFunction:
-    """One member of the divisor-function zoo, tagged by ``kind``.
-
-    kind: adams | jefferson | webster | hill | dean | stationary |
-          powermean | custom
-    ``c`` parameterizes stationary (f(t) = t + c, c in [0,1]); ``p`` and
-    ``w`` parameterize the weighted power mean of t and t+1; ``table`` plus
-    ``tail_offset`` define a custom function (f(t) = t + tail_offset past
-    the table).  ``allow_approx`` opts in to the high-precision fallback
-    for variants with no exact comparison.
+    """One member of the divisor-function zoo, tagged by ``kind``, a key of
+    ``DIVISOR_FAMILIES``.  ``c`` parameterizes stationary (f(t) = t + c, c
+    in [0,1]); ``p`` and ``w`` parameterize the weighted power mean of t and
+    t+1; ``table`` plus ``tail_offset`` define a custom function
+    (f(t) = t + tail_offset past the table).
     """
 
     kind: str
@@ -63,85 +54,16 @@ class DivisorFunction:
     w: Fraction | None = None
     table: tuple[Fraction, ...] | None = None
     tail_offset: Fraction | None = None
-    allow_approx: bool = False
 
     def __post_init__(self):
-        if self.kind == "stationary":
-            if self.c is None or not 0 <= self.c <= 1:
-                raise ValueError("stationary offset must lie in [0, 1]")
-        elif self.kind == "powermean":
-            if self.p is None or self.w is None:
-                raise ValueError("power mean needs both p and w")
-            if not 0 <= self.w <= 1:
-                raise ValueError("power-mean weight must lie in [0, 1]")
-        elif self.kind == "custom":
-            if not self.table:
-                raise ValueError("custom divisor function needs a value table")
-            self._validate_table()
-        elif self.kind not in ("adams", "jefferson", "webster", "hill", "dean"):
+        family = DIVISOR_FAMILIES.get(self.kind)
+        if family is None:
             raise ValueError(f"unknown divisor function kind {self.kind!r}")
-
-    def _validate_table(self):
-        prev = None
-        for t, value in enumerate(self.table):
-            if not t <= value <= t + 1:
-                raise ValueError(f"custom table violates t <= f(t) <= t+1 at t={t}")
-            if prev is not None and value <= prev:
-                raise ValueError(f"custom table is not strictly increasing at t={t}")
-            prev = value
-        if self.tail_offset is not None:
-            if not 0 <= self.tail_offset <= 1:
-                raise ValueError("custom tail offset must lie in [0, 1]")
-            t = len(self.table)
-            if prev is not None and t + self.tail_offset <= prev:
-                raise ValueError("custom tail is not strictly increasing at the seam")
+        family.check(self)
 
     @property
     def name(self) -> str:
-        if self.kind == "stationary":
-            return f"stationary:{format_rational(self.c)}"
-        if self.kind == "powermean":
-            return f"powermean:{format_rational(self.p)},{format_rational(self.w)}"
-        return self.kind
-
-    # -- evaluation helpers --------------------------------------------------
-
-    def rational_value(self, t: int) -> Fraction | None:
-        """f(t) as an exact rational, or None when f(t) is irrational."""
-        if t < 0:
-            raise ValueError("divisor functions are defined for t >= 0")
-        if self.kind == "adams":
-            return Fraction(t)
-        if self.kind == "jefferson":
-            return Fraction(t + 1)
-        if self.kind == "webster":
-            return Fraction(2 * t + 1, 2)
-        if self.kind == "dean":
-            # t(t+1) / (t + 1/2); equals 0 at t = 0
-            return Fraction(2 * t * (t + 1), 2 * t + 1)
-        if self.kind == "stationary":
-            return t + self.c
-        if self.kind == "custom":
-            if t < len(self.table):
-                value = self.table[t]
-            elif self.tail_offset is not None:
-                value = t + self.tail_offset
-            else:
-                raise ValueError(
-                    f"custom divisor table covers t < {len(self.table)}; got t={t}"
-                )
-            if not t <= value <= t + 1:
-                raise ValueError(f"custom divisor violates t <= f(t) <= t+1 at t={t}")
-            return value
-        if self.kind == "hill":
-            return Fraction(0) if t == 0 else None
-        if self.kind == "powermean":
-            if t == 0 and self.p <= 0:
-                return Fraction(0)
-            if self.p == 1 or self.w in (0, 1):
-                return t + 1 - self.w  # the mean weighted w on t and 1-w on t+1
-            return None
-        raise AssertionError(self.kind)
+        return DIVISOR_FAMILIES[self.kind].name(self)
 
     def order_form(self, t: int) -> tuple[int, int, int] | None:
         """Integers (num, den, e) with num/den = f(t)^e, so f(t)/w orders as
@@ -151,78 +73,130 @@ class DivisorFunction:
         exponent k and q for the geometric mean with weight a/q.  None when
         f(t) is irrational with no such form.
         """
-        if self.kind == "hill":
-            return t * (t + 1), 1, 2
-        if self.kind == "powermean" and 0 < self.w < 1 and self.p != 1:
-            a, q = self.w.numerator, self.w.denominator
-            if self.p == 0:
-                return t**a * (t + 1) ** (q - a), 1, q
-            if self.p.denominator == 1:
-                k = self.p.numerator
-                if k > 0:
-                    return a * t**k + (q - a) * (t + 1) ** k, q, k
-                if t == 0:
-                    return 0, 1, k
-                # g(t) = a/(q t^|k|) + (q-a)/(q (t+1)^|k|)
-                return a * (t + 1) ** -k + (q - a) * t**-k, q * (t * (t + 1)) ** -k, k
-        value = self.rational_value(t)
-        if value is None:
+        if t < 0:
+            raise ValueError("divisor functions are defined for t >= 0")
+        return DIVISOR_FAMILIES[self.kind].order_form(self, t)
+
+    def rational_value(self, t: int) -> Fraction | None:
+        """f(t) as an exact rational where the order form has exponent 1 or
+        is zero, else None."""
+        form = self.order_form(t)
+        if form is None or (form[2] != 1 and form[0] != 0):
             return None
-        return value.numerator, value.denominator, 1
+        return Fraction(form[0], form[1])
 
     def key(self, t: int, w) -> tuple:
         """Sort key of f(t)/w, w > 0: keys order exactly as the scores do,
-        and f(t) = 0 gives the least key (0, 0).  Without an exact form the
-        key holds a high-precision decimal if ``allow_approx`` is set."""
+        and f(t) = 0 gives the least key (0, 0)."""
         form = self.order_form(t)
         if form is None:
-            if not self.allow_approx:
-                raise PrecisionError(self.name)
-            return (1, self._approx(1 / Fraction(w), t))
+            raise PrecisionError(self.name)
         num, den, e = form
         if num == 0:
             return (0, 0)
         value = Fraction(num, den) / Fraction(w) ** e
         return (1, value if e > 0 else -value)
 
-    def _approx(self, coeff: Fraction, t: int) -> Decimal:
-        bits = int(os.environ.get(PRECISION_ENV_VAR, DEFAULT_PRECISION_BITS))
-        digits = max(28, math.ceil(bits * math.log10(2)) + 10)
-        with localcontext() as ctx:
-            ctx.prec = digits
-            p, w = self.p, self.w
-            dt = Decimal(t)
-            dw = Decimal(w.numerator) / Decimal(w.denominator)
-            dp = Decimal(p.numerator) / Decimal(p.denominator)
-            mean = dw * dt**dp + (1 - dw) * (dt + 1) ** dp
-            value = mean ** (1 / dp)
-            dcoeff = Decimal(coeff.numerator) / Decimal(coeff.denominator)
-            return dcoeff * value
+
+def _rational_form(value) -> tuple[int, int, int]:
+    return value.numerator, value.denominator, 1
 
 
-ADAMS = DivisorFunction("adams")
-JEFFERSON = DivisorFunction("jefferson")
-WEBSTER = DivisorFunction("webster")
-HILL = DivisorFunction("hill")
-DEAN = DivisorFunction("dean")
+def _check_stationary(f: DivisorFunction) -> None:
+    if f.c is None or not 0 <= f.c <= 1:
+        raise ValueError("stationary offset must lie in [0, 1]")
 
-TRADITIONAL = {
-    "adams": ADAMS,
-    "jefferson": JEFFERSON,
-    "webster": WEBSTER,
-    "hill": HILL,
-    "dean": DEAN,
+
+def _check_power_mean(f: DivisorFunction) -> None:
+    if f.p is None or f.w is None:
+        raise ValueError("power mean needs both p and w")
+    if not 0 <= f.w <= 1:
+        raise ValueError("power-mean weight must lie in [0, 1]")
+
+
+def _power_mean_form(f: DivisorFunction, t: int) -> tuple[int, int, int] | None:
+    p, w = f.p, f.w
+    if p == 1 or w in (0, 1):
+        if t == 0 and p <= 0:
+            return 0, 1, 1
+        return _rational_form(t + 1 - w)  # the mean weighted w on t and 1-w on t+1
+    a, q = w.numerator, w.denominator
+    if p == 0:
+        return t**a * (t + 1) ** (q - a), 1, q
+    if p.denominator != 1:
+        return (0, 1, 1) if t == 0 and p < 0 else None
+    k = p.numerator
+    if k > 0:
+        return a * t**k + (q - a) * (t + 1) ** k, q, k
+    if t == 0:
+        return 0, 1, k
+    # g(t) = a/(q t^|k|) + (q-a)/(q (t+1)^|k|)
+    return a * (t + 1) ** -k + (q - a) * t**-k, q * (t * (t + 1)) ** -k, k
+
+
+def _check_custom(f: DivisorFunction) -> None:
+    if not f.table:
+        raise ValueError("custom divisor function needs a value table")
+    for t, value in enumerate(f.table):
+        if not t <= value <= t + 1:
+            raise ValueError(f"custom table violates t <= f(t) <= t+1 at t={t}")
+        if t > 0 and value <= f.table[t - 1]:
+            raise ValueError(f"custom table is not strictly increasing at t={t}")
+    if f.tail_offset is not None:
+        if not 0 <= f.tail_offset <= 1:
+            raise ValueError("custom tail offset must lie in [0, 1]")
+        if len(f.table) + f.tail_offset <= f.table[-1]:
+            raise ValueError("custom tail is not strictly increasing at the seam")
+
+
+def _custom_form(f: DivisorFunction, t: int) -> tuple[int, int, int]:
+    if t < len(f.table):
+        return _rational_form(f.table[t])
+    if f.tail_offset is None:
+        raise ValueError(f"custom divisor table covers t < {len(f.table)}; got t={t}")
+    return _rational_form(t + f.tail_offset)
+
+
+class DivisorFamily(NamedTuple):
+    """One divisor family: f(t) as ``order_form(f, t)``, the check its
+    parameters must pass, and its name."""
+
+    order_form: Callable[[DivisorFunction, int], tuple[int, int, int] | None]
+    check: Callable[[DivisorFunction], None] = lambda f: None
+    name: Callable[[DivisorFunction], str] = lambda f: f.kind
+
+
+DIVISOR_FAMILIES = {
+    "adams": DivisorFamily(lambda f, t: (t, 1, 1)),
+    "jefferson": DivisorFamily(lambda f, t: (t + 1, 1, 1)),
+    "webster": DivisorFamily(lambda f, t: (2 * t + 1, 2, 1)),
+    "hill": DivisorFamily(lambda f, t: (t * (t + 1), 1, 2)),
+    # t(t+1) / (t + 1/2), in lowest terms; equals 0 at t = 0
+    "dean": DivisorFamily(lambda f, t: (2 * t * (t + 1), 2 * t + 1, 1)),
+    "stationary": DivisorFamily(
+        lambda f, t: _rational_form(t + f.c),
+        _check_stationary,
+        lambda f: f"stationary:{format_rational(f.c)}",
+    ),
+    "powermean": DivisorFamily(
+        _power_mean_form,
+        _check_power_mean,
+        lambda f: f"powermean:{format_rational(f.p)},{format_rational(f.w)}",
+    ),
+    "custom": DivisorFamily(_custom_form, _check_custom),
 }
+
+
+TRADITIONAL = {k: DivisorFunction(k) for k in ("adams", "jefferson", "webster", "hill", "dean")}
+ADAMS, JEFFERSON, WEBSTER, HILL, DEAN = TRADITIONAL.values()
 
 
 def stationary(c) -> DivisorFunction:
     return DivisorFunction("stationary", c=_as_rational(c))
 
 
-def power_mean(p, w, allow_approx: bool = False) -> DivisorFunction:
-    return DivisorFunction(
-        "powermean", p=_as_rational(p), w=_as_rational(w), allow_approx=allow_approx
-    )
+def power_mean(p, w) -> DivisorFunction:
+    return DivisorFunction("powermean", p=_as_rational(p), w=_as_rational(w))
 
 
 def custom(values: Sequence, tail_offset=None) -> DivisorFunction:
@@ -250,6 +224,8 @@ def divisor_from_name(text: str) -> DivisorFunction:
         path = name.split("@", 1)[1]
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
+        if not isinstance(doc, dict) or not isinstance(doc.get("values"), list):
+            raise ParseError("custom table", 'expected an object whose "values" is a list')
         values = [parse_rational(v, "custom table entry") for v in doc["values"]]
         tail = doc.get("tail_offset")
         return custom(values, tail if tail is None else parse_rational(tail, "tail_offset"))
@@ -332,66 +308,69 @@ def quota_sequence(n: int, m: int, weights: Sequence) -> PickingSequence:
     return PickingSequence(tuple(turns))
 
 
+class RuleKind(NamedTuple):
+    """One rule kind: its CLI name (None: its divisor function names it),
+    ``sequence(f, n, m, weights)`` or else ``allocate(instance, budget)``,
+    and the one agent count the rule is defined for, if any."""
+
+    name: str | None
+    sequence: Callable[..., PickingSequence] | None = None
+    allocate: Callable | None = None
+    agents: int | None = None
+
+
+RULE_KINDS = {
+    "divisor": RuleKind(None, divisor_sequence),
+    "quota": RuleKind("quota", lambda f, n, m, weights: quota_sequence(n, m, weights)),
+    "round_robin": RuleKind("rr", lambda f, n, m, weights: baselines.round_robin_sequence(n, m)),
+    "mwnw": RuleKind("mwnw", allocate=lambda instance, budget: mwnw.solve(instance, budget=budget)),
+    "envy_cycle": RuleKind(
+        "ecycle", allocate=lambda instance, budget: baselines.envy_cycle_eliminate(instance)
+    ),
+    "adjusted_winner": RuleKind(
+        "aw", allocate=lambda instance, budget: baselines.adjusted_winner(instance), agents=2
+    ),
+}
+
+
 @dataclass(frozen=True)
 class Rule:
     """A named allocation procedure usable by the harness and CLI.
 
-    kind: divisor | quota | mwnw | round_robin | envy_cycle | adjusted_winner
+    kind: a key of ``RULE_KINDS``; ``divisor`` names the function of a
+    divisor rule.
     """
 
     kind: str
     divisor: DivisorFunction | None = None
 
     def __post_init__(self):
-        if self.kind == "divisor" and self.divisor is None:
-            raise ValueError("divisor rule needs a DivisorFunction")
-        if self.kind not in (
-            "divisor",
-            "quota",
-            "mwnw",
-            "round_robin",
-            "envy_cycle",
-            "adjusted_winner",
-        ):
+        spec = RULE_KINDS.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown rule kind {self.kind!r}")
+        if spec.name is None and self.divisor is None:
+            raise ValueError("divisor rule needs a DivisorFunction")
+
+    @property
+    def spec(self) -> RuleKind:
+        return RULE_KINDS[self.kind]
 
     @property
     def name(self) -> str:
-        if self.kind == "divisor":
-            return self.divisor.name
-        return {
-            "quota": "quota",
-            "mwnw": "mwnw",
-            "round_robin": "rr",
-            "envy_cycle": "ecycle",
-            "adjusted_winner": "aw",
-        }[self.kind]
+        return self.spec.name or self.divisor.name
 
     @property
     def is_sequence_based(self) -> bool:
-        return self.kind in ("divisor", "quota", "round_robin")
+        return self.spec.sequence is not None
 
 
 def divisor_rule(f: DivisorFunction) -> Rule:
     return Rule("divisor", divisor=f)
 
 
-QUOTA_RULE = Rule("quota")
-MWNW_RULE = Rule("mwnw")
-ROUND_ROBIN_RULE = Rule("round_robin")
-ENVY_CYCLE_RULE = Rule("envy_cycle")
-ADJUSTED_WINNER_RULE = Rule("adjusted_winner")
-
-
 def rule_from_name(text: str) -> Rule:
     name = text.strip()
-    simple = {
-        "quota": QUOTA_RULE,
-        "mwnw": MWNW_RULE,
-        "rr": ROUND_ROBIN_RULE,
-        "ecycle": ENVY_CYCLE_RULE,
-        "aw": ADJUSTED_WINNER_RULE,
-    }
-    if name in simple:
-        return simple[name]
+    for kind, spec in RULE_KINDS.items():
+        if spec.name == name:
+            return Rule(kind)
     return divisor_rule(divisor_from_name(name))

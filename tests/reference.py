@@ -1,6 +1,7 @@
 """Reference generators, verifiers and solvers: the direct, unoptimized forms.
 
-These are the per-kind score comparison, the O(n) argmin per turn, and
+These are the per-kind divisor values and order forms that the family
+table replaced, the per-kind score comparison, the O(n) argmin per turn, and
 the O(n^2) Fraction scan per prefix that the library replaced with order
 keys, a heap and incremental integer checks; and the Fraction forms of
 truthful picking, the allocation verifiers, the envy graph and the MWNW
@@ -24,8 +25,65 @@ def _sign(q) -> int:
     return (q > 0) - (q < 0)
 
 
+def rational_value(f: DivisorFunction, t: int) -> Fraction | None:
+    """f(t) as an exact rational, or None when f(t) is irrational: the
+    per-kind form that ``DIVISOR_FAMILIES`` replaced."""
+    if t < 0:
+        raise ValueError("divisor functions are defined for t >= 0")
+    if f.kind == "adams":
+        return Fraction(t)
+    if f.kind == "jefferson":
+        return Fraction(t + 1)
+    if f.kind == "webster":
+        return Fraction(2 * t + 1, 2)
+    if f.kind == "dean":
+        return Fraction(2 * t * (t + 1), 2 * t + 1)
+    if f.kind == "stationary":
+        return t + f.c
+    if f.kind == "custom":
+        if t < len(f.table):
+            value = f.table[t]
+        elif f.tail_offset is not None:
+            value = t + f.tail_offset
+        else:
+            raise ValueError(f"custom divisor table covers t < {len(f.table)}; got t={t}")
+        if not t <= value <= t + 1:
+            raise ValueError(f"custom divisor violates t <= f(t) <= t+1 at t={t}")
+        return value
+    if f.kind == "hill":
+        return Fraction(0) if t == 0 else None
+    if f.kind == "powermean":
+        if t == 0 and f.p <= 0:
+            return Fraction(0)
+        if f.p == 1 or f.w in (0, 1):
+            return t + 1 - f.w
+        return None
+    raise AssertionError(f.kind)
+
+
+def order_form(f: DivisorFunction, t: int) -> tuple[int, int, int] | None:
+    """(num, den, e) with num/den = f(t)^e, per kind, as before the table."""
+    if f.kind == "hill":
+        return t * (t + 1), 1, 2
+    if f.kind == "powermean" and 0 < f.w < 1 and f.p != 1:
+        a, q = f.w.numerator, f.w.denominator
+        if f.p == 0:
+            return t**a * (t + 1) ** (q - a), 1, q
+        if f.p.denominator == 1:
+            k = f.p.numerator
+            if k > 0:
+                return a * t**k + (q - a) * (t + 1) ** k, q, k
+            if t == 0:
+                return 0, 1, k
+            return a * (t + 1) ** -k + (q - a) * t**-k, q * (t * (t + 1)) ** -k, k
+    value = rational_value(f, t)
+    if value is None:
+        return None
+    return value.numerator, value.denominator, 1
+
+
 def _is_zero_at(f: DivisorFunction, t: int) -> bool:
-    value = f.rational_value(t)
+    value = rational_value(f, t)
     return value is not None and value == 0
 
 
@@ -37,7 +95,7 @@ def compare_products(f: DivisorFunction, c1: Fraction, t1: int, c2: Fraction, t2
         if left_zero and right_zero:
             return 0
         return -1 if left_zero else 1
-    v1, v2 = f.rational_value(t1), f.rational_value(t2)
+    v1, v2 = rational_value(f, t1), rational_value(f, t2)
     if v1 is not None and v2 is not None:
         return _sign(c1 * v1 - c2 * v2)
     if f.kind == "hill":
@@ -54,9 +112,7 @@ def compare_products(f: DivisorFunction, c1: Fraction, t1: int, c2: Fraction, t2
         lhs = c1**q * Fraction(t1) ** a * Fraction(t1 + 1) ** (q - a)
         rhs = c2**q * Fraction(t2) ** a * Fraction(t2 + 1) ** (q - a)
         return _sign(lhs - rhs)
-    if not f.allow_approx:
-        raise PrecisionError(f.name)
-    return _sign(f._approx(c1, t1) - f._approx(c2, t2))
+    raise PrecisionError(f.name)
 
 
 def compare_scores(f: DivisorFunction, t_a: int, w_a, t_b: int, w_b) -> int:
@@ -158,7 +214,7 @@ def check_quota_bounds(turns, weights, mode: str, bound: str) -> FairnessVerdict
 
 def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
     def ratio(t):
-        return f.rational_value(t) / f.rational_value(t + 1)
+        return rational_value(f, t) / rational_value(f, t + 1)
 
     for t in range(t_max + 1):
         if compare_products(f, Fraction(t), t + 1, Fraction(t + 1), t) > 0:

@@ -259,6 +259,60 @@ def test_scan_empty_bounds_exit_two(capsys):
         assert f"scan needs {name} >= 1, got {value}" in err
 
 
+@pytest.mark.parametrize("document", ["[0, 1]", '{"values": 5}', '{"tail_offset": 1}'])
+def test_malformed_custom_table_exit_two(capsys, tmp_path, document):
+    path = tmp_path / "table.json"
+    path.write_text(document)
+    code, out, err = run_cli(capsys, "sequence", "--method", f"custom:@{path}",
+                             "--weights", "1,2", "--turns", "3")
+    assert code == 2 and out == ""
+    assert 'custom table: expected an object whose "values" is a list' in err
+
+
+@pytest.mark.parametrize(
+    "perturb, field",
+    [
+        ("[1]", "perturb: expected a JSON object"),
+        ('{"kind": "weight", "agent": true, "weight": 2}', "perturb.agent"),
+        ('{"kind": "weight", "agent": "1", "weight": 2}', "perturb.agent"),
+    ],
+)
+def test_malformed_perturbation_exit_two(capsys, perturb, field):
+    code, out, err = run_cli(capsys, "mono", "--property", "weight", "--rule", "quota",
+                             "--instance", INSTANCE_DOC, "--perturb", perturb)
+    assert code == 2 and out == ""
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--kind", "population", "--base", "[1,2]", "--modified", "[1,2]", "--new-agent", "0"],
+         "new-agent"),
+        (["--kind", "weight", "--base", "[1,2]", "--modified", "[1,2]", "--agent", "0"], "agent"),
+        (["--kind", "weight", "--base", "[1,2]", "--modified", "[1,2]", "--agent", "-3"], "agent"),
+    ],
+)
+def test_consistency_explicit_pair_agent_below_one_exit_two(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "consistency", *argv)
+    assert code == 2 and out == ""
+    assert f"{flag}: must be a 1-indexed agent" in err
+
+
+def test_consistency_method_agent_out_of_range_exit_two(capsys):
+    code, out, err = run_cli(capsys, "consistency", "--kind", "weight", "--method", "quota",
+                             "--weights", "1,2", "--turns", "4", "--agent", "3", "--new-weight", "5")
+    assert code == 2 and out == ""
+    assert "agent: must lie in 1..2" in err
+
+
+@pytest.mark.parametrize("argv", [["--property", "population"], ["--property", "weight", "--max-n", "1"]])
+def test_scan_adjusted_winner_agent_count_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, "scan", "--rule", "aw", *argv)
+    assert code == 2 and out == ""
+    assert "rule aw runs on exactly 2 agents" in err
+
+
 def test_mwnw_huge_exponents_exit_two_quickly():
     # weights 1/1000003 and 1/1000005 give exponents near 10^6: the solver
     # must refuse the instance before it forms a single product

@@ -79,17 +79,20 @@ def test_keys_order_as_reference_comparison(f):
         ), (t_a, w_a, t_b, w_b)
 
 
-def test_approximate_keys_order_as_reference_comparison():
-    rng = random.Random(5102)
-    for p in (Fraction(1, 2), Fraction(-1, 2), Fraction(5, 3)):
-        f = power_mean(p, Fraction(1, 3), allow_approx=True)
-        for _ in range(60):
-            t_a, t_b = rng.randint(0, 6), rng.randint(0, 6)
-            w_a, w_b = draw_weights(rng, 2)
-            assert compare_scores(f, t_a, w_a, t_b, w_b) == reference.compare_scores(
-                f, t_a, w_a, t_b, w_b
-            )
-        assert divisor_sequence(f, 3, 9, (3, 2, 1)) == reference.divisor_sequence(f, 3, 9, (3, 2, 1))
+IRRATIONAL_MEANS = [power_mean(p, Fraction(1, 3)) for p in (Fraction(1, 2), Fraction(-1, 2), Fraction(5, 3))]
+
+
+@pytest.mark.parametrize("f", FAMILIES + IRRATIONAL_MEANS, ids=family_id)
+def test_family_table_matches_reference_forms(f):
+    for t in range(61):
+        assert f.rational_value(t) == reference.rational_value(f, t), t
+        form, expected = f.order_form(t), reference.order_form(f, t)
+        assert (form is None) == (expected is None), t
+        if form is not None:
+            assert (Fraction(form[0], form[1]), form[2]) == (
+                Fraction(expected[0], expected[1]),
+                expected[2],
+            ), t
 
 
 @pytest.mark.parametrize("f", FAMILIES, ids=family_id)
@@ -122,7 +125,6 @@ def test_quota_sequences_and_random_sequences_match_reference():
         custom([0, 1], tail_offset=1),  # fails the left inequality at t = 1
         custom([Fraction(1, 2), Fraction(19, 10)], tail_offset=Fraction(1, 10)),
         custom([Fraction(1, 10), Fraction(11, 10), Fraction(21, 10)], tail_offset=Fraction(9, 10)),
-        power_mean(Fraction(1, 2), Fraction(1, 3), allow_approx=True),
     ],
     ids=family_id,
 )

@@ -290,3 +290,11 @@ def test_scan_rejects_empty_bounds(bounds, name):
         scan(divisor_rule(WEBSTER), "wef1", **bounds)
     with pytest.raises(ValueError, match=f"{name} >= 1"):
         scan(MWNW, "weight", **bounds)
+
+
+@pytest.mark.parametrize("prop, max_n", [("population", 3), ("resource", 1), ("wef1", 1)])
+def test_scan_rejects_fixed_agent_count_mismatch(prop, max_n):
+    # adjusted winner runs on exactly two agents: an added agent or max_n
+    # below two would otherwise fail mid-scan or be silently overridden
+    with pytest.raises(ValueError, match="exactly 2 agents"):
+        scan(Rule("adjusted_winner"), prop, max_n=max_n, trials=10, seed=0)

@@ -21,6 +21,9 @@ from pickseq.methods import (
     stationary,
 )
 from pickseq.core import PickingSequence
+from pickseq.executor import execute
+from pickseq.fairness import divisor_wwef1_condition
+from pickseq.harness import apply_rule, random_instance, sequence_for_rule
 
 
 def seq1(seq: PickingSequence) -> list[int]:
@@ -109,20 +112,14 @@ def test_power_mean_zero_exponent_rational_weight_exact():
         assert compare_scores(f, t_a, w_a, t_b, w_b) == (1 if lhs > rhs else -1)
 
 
-def test_power_mean_irrational_exponent_requires_opt_in():
+def test_power_mean_irrational_exponent_raises():
     strict = power_mean(Fraction(1, 2), Fraction(1, 2))
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="powermean:1/2,1/2 has no exact comparison"):
         compare_scores(strict, 1, Fraction(1), 2, Fraction(3))
-    loose = power_mean(Fraction(1, 2), Fraction(1, 2), allow_approx=True)
-    # f(t) = ((sqrt(t) + sqrt(t+1))/2)^2; separated values compare correctly
-    assert compare_scores(loose, 1, Fraction(1), 1, Fraction(2)) == 1
-    assert compare_scores(loose, 1, Fraction(1), 1, Fraction(1)) == 0
-
-
-def test_precision_env_var_respected(monkeypatch):
-    monkeypatch.setenv("FAIRSEQ_PRECISION_BITS", "192")
-    loose = power_mean(Fraction(1, 2), Fraction(1, 2), allow_approx=True)
-    assert compare_scores(loose, 2, Fraction(1), 1, Fraction(1)) == 1
+    # f(0) = 0 still compares exactly; the first non-zero score raises
+    assert compare_scores(power_mean(Fraction(-1, 2), Fraction(1, 2)), 0, 1, 0, 2) == 0
+    with pytest.raises(PrecisionError):
+        divisor_wwef1_condition(strict, 5)
 
 
 # --- divisor function properties ---------------------------------------------
@@ -204,6 +201,22 @@ def test_divisor_from_name():
         divisor_from_name("hamilton")
     assert rule_from_name("quota").kind == "quota"
     assert rule_from_name("jefferson").divisor is JEFFERSON
+
+
+ROUND_TRIP_NAMES = ["rr", "quota", "mwnw", "ecycle", "aw", *TRADITIONAL, "stationary:1/3", "powermean:2,1/3"]
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_NAMES)
+def test_rule_names_round_trip_and_sequence_rules_execute_their_sequence(name):
+    rule = rule_from_name(name)
+    assert rule.name == name
+    if not rule.is_sequence_based:
+        return
+    rng = random.Random(2024)
+    for _ in range(20):
+        instance = random_instance(rng, max_n=5, max_m=12, min_n=2)
+        sequence = sequence_for_rule(rule, instance.n, instance.m, instance.weights)
+        assert apply_rule(rule, instance) == execute(instance, sequence)
 
 
 def test_divisor_from_name_custom_file(tmp_path):
