@@ -311,6 +311,13 @@ def _cmd_consistency(args) -> int:
             if agent < 0:
                 raise ParseError(agent_flag, f"must be a 1-indexed agent, got {agent + 1}")
             base, modified = _load_sequence(args.base), _load_sequence(args.modified)
+            # the sequences carry no agent count: bound the agent by the
+            # largest one they name, plus one new agent that may get no turn
+            largest = max(base.turns + modified.turns, default=-1) + 1
+            if agent >= largest + population:
+                above = "one above " if population else ""
+                raise ParseError(agent_flag, f"must be at most {largest + population}, "
+                                 f"{above}the largest agent --base and --modified name")
         else:
             needed = ("weights", "turns") + (() if population else ("agent",)) + ("new-weight",)
             _require(args, f"{args.kind} consistency from a method", *needed)

@@ -10,7 +10,10 @@ scales the weight vector by the lcm of its denominators, and
 ``integer_utilities`` scales each agent's utility row by the lcm of that
 row's denominators.  A per-agent scale is sound wherever an inequality
 weighs one agent's values against that same agent's values; witnesses are
-divided back into the same Fractions.
+divided back into the same Fractions.  An ``Instance`` computes its integer
+view (``scaled_weights`` and ``scaled_utilities``) on first use and keeps
+it, so every layer that reads one instance shares one conversion; the view
+takes no part in equality, hashing, ``repr`` or pickling.
 
 Agents and items are 0-indexed in code and 1-indexed in serialized
 documents and CLI output.
@@ -21,8 +24,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -121,6 +125,26 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.utilities[0]) if self.utilities else 0
+
+    @cached_property
+    def scaled_weights(self) -> tuple[int, ...]:
+        """``integer_weights(self.weights)``, computed on first use."""
+        return integer_weights(self.weights)
+
+    @cached_property
+    def scaled_utilities(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The per-agent scales and integer rows of ``integer_utilities``,
+        computed on first use."""
+        scales, rows = [], []
+        for row in self.utilities:
+            scale = math.lcm(*(u.denominator for u in row))
+            scales.append(scale)
+            rows.append(tuple(u.numerator * (scale // u.denominator) for u in row))
+        return tuple(scales), tuple(rows)
+
+    def __getstate__(self) -> dict:
+        # the cached integer view is derived data: pickle and copy the fields
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def add_item(self, column: Sequence[object]) -> "Instance":
         """Return the instance with one extra item appended (index m)."""
@@ -225,14 +249,9 @@ def integer_utilities(instance: Instance) -> tuple[tuple[int, ...], tuple[tuple[
     positive integer that makes the row integral.  Rows that are already
     integers keep s_i = 1.  Comparisons between sums of one agent's
     utilities keep their order under the scale; comparisons across agents
-    do not.
+    do not.  Computed once per instance and kept on it.
     """
-    scales, rows = [], []
-    for row in instance.utilities:
-        scale = math.lcm(*(u.denominator for u in row))
-        scales.append(scale)
-        rows.append(tuple(u.numerator * (scale // u.denominator) for u in row))
-    return tuple(scales), tuple(rows)
+    return instance.scaled_utilities
 
 
 def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:

@@ -28,7 +28,7 @@ from .core import (
     integer_weights,
     turns_of,
 )
-from .methods import DivisorFunction, PrecisionError
+from .methods import DivisorFunction, PrecisionError, form_key
 
 NOTIONS = ("wef1", "wwef1", "wprop1")
 
@@ -77,14 +77,14 @@ def check_allocation(
 
     Every inequality weighs agent i's values against agent i's values, so
     it is decided in integers: on the rows of ``integer_utilities`` (agent
-    i's scaled by s_i) and the weights of ``integer_weights``, through one
+    i's scaled by s_i) and the instance's ``scaled_weights``, through one
     n x n table value[i][j] of agent i's scaled value for bundle j.  The
     witness divides back by s_i and the weights.
     """
     _check_notion(notion)
     allocation.validate_for(instance)
     scales, rows = integer_utilities(instance)
-    weights = integer_weights(instance.weights)
+    weights = instance.scaled_weights
     bundles = [sorted(b) for b in allocation.bundles]
     value = [[sum(row[g] for g in b) for b in bundles] for row in rows]
 
@@ -200,7 +200,8 @@ def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
 
     This single-variable condition characterizes the divisor functions
     whose picking sequences guarantee wwef1.  Both inequalities are decided
-    in integers on f's order form; a family without one raises
+    in integers, by the order keys (``methods.form_key``) that the sequence
+    generator compares; a family without an order form raises
     ``PrecisionError``.
     """
     if t_max < 1:
@@ -214,15 +215,10 @@ def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
 
     def exceeds(c1: int, form1, c2: int, form2) -> bool:
         """c1*x1 > c2*x2 for positive integers c1, c2, where form1 and form2
-        are the order forms of the values x1 and x2 of f."""
+        are the order forms of the values x1 and x2 of f: x1/c2 > x2/c1."""
         if form1 is None or form2 is None:
             raise PrecisionError(f.name)
-        (n1, d1, e), (n2, d2, _) = form1, form2
-        if n1 == 0 or n2 == 0:
-            return n2 == 0 and n1 != 0
-        if e > 0:
-            return n1 * d2 * c1**e > n2 * d1 * c2**e
-        return n1 * d2 * c2**-e < n2 * d1 * c1**-e
+        return form_key(form2, c1) < form_key(form1, c2)
 
     current = f.order_form(0)
     for t in range(t_max + 1):

@@ -5,8 +5,9 @@ t_i is the agent's pick count so far and f is strictly increasing with
 t <= f(t) <= t+1.  The quota method restricts the Jefferson rule
 (f(t) = t+1) to agents still below their proportional upper quota.
 
-Scores compare through one exact order key per family, a power of f(t)/w
-that clears any root (``DivisorFunction.key``).  Power means with a
+Scores compare through one exact integer order key per agent and count,
+built from a power of f(t)/w that clears any root (``DivisorFunction.key``)
+on weights scaled to integers by one common factor.  Power means with a
 non-integer, non-zero exponent have no such key and raise ``PrecisionError``.
 What depends on a kind is read from ``DIVISOR_FAMILIES`` and ``RULE_KINDS``.
 """
@@ -85,21 +86,51 @@ class DivisorFunction:
             return None
         return Fraction(form[0], form[1])
 
-    def key(self, t: int, w) -> tuple:
-        """Sort key of f(t)/w, w > 0: keys order exactly as the scores do,
-        and f(t) = 0 gives the least key (0, 0)."""
+    def key(self, t: int, w: int, agent: int = 0) -> "OrderKey":
+        """Order key of f(t)/w for an agent with integer weight w > 0.
+
+        With the form (num, den, e), the key is num/(den*w^e) when e > 0 and
+        -num*w^|e|/den when e < 0, and f(t) = 0 gives the least key.  Every
+        form of one function with f(t) > 0 has the same e, so keys of
+        weights that share one scale (``core.integer_weights``) order
+        exactly as the scores do.
+        """
         form = self.order_form(t)
         if form is None:
             raise PrecisionError(self.name)
-        num, den, e = form
-        if num == 0:
-            return (0, 0)
-        value = Fraction(num, den) / Fraction(w) ** e
-        return (1, value if e > 0 else -value)
+        return form_key(form, w, agent)
 
 
-def _rational_form(value) -> tuple[int, int, int]:
-    return value.numerator, value.denominator, 1
+def form_key(form: tuple[int, int, int], w: int, agent: int = 0) -> "OrderKey":
+    """The order key of x/w, for x with the order form (num, den, e)."""
+    num, den, e = form
+    if num == 0:
+        return OrderKey(-1, 0, agent)
+    if e > 0:
+        return OrderKey(num, den * w**e, agent)
+    return OrderKey(-num * w**-e, den, agent)
+
+
+class OrderKey:
+    """The integer fraction num/den (den >= 0) of one agent's score, for
+    ``heapq``, which needs only ``<``.  Keys compare by cross-multiplying,
+    ties going to the lower agent index.  (-1, 0), the key of f(t) = 0,
+    is below every key with den > 0 under the same product test.
+    """
+
+    __slots__ = ("num", "den", "agent")
+
+    def __init__(self, num: int, den: int, agent: int):
+        self.num, self.den, self.agent = num, den, agent
+
+    def __lt__(self, other: "OrderKey") -> bool:
+        lhs, rhs = self.num * other.den, other.num * self.den
+        return lhs < rhs or (lhs == rhs and self.agent < other.agent)
+
+
+def _offset_form(t: int, offset: Fraction) -> tuple[int, int, int]:
+    """The form of t + offset, built without Fraction arithmetic."""
+    return t * offset.denominator + offset.numerator, offset.denominator, 1
 
 
 def _check_stationary(f: DivisorFunction) -> None:
@@ -116,11 +147,11 @@ def _check_power_mean(f: DivisorFunction) -> None:
 
 def _power_mean_form(f: DivisorFunction, t: int) -> tuple[int, int, int] | None:
     p, w = f.p, f.w
+    a, q = w.numerator, w.denominator
     if p == 1 or w in (0, 1):
         if t == 0 and p <= 0:
             return 0, 1, 1
-        return _rational_form(t + 1 - w)  # the mean weighted w on t and 1-w on t+1
-    a, q = w.numerator, w.denominator
+        return (t + 1) * q - a, q, 1  # the mean weighted w on t and 1-w on t+1
     if p == 0:
         return t**a * (t + 1) ** (q - a), 1, q
     if p.denominator != 1:
@@ -151,10 +182,10 @@ def _check_custom(f: DivisorFunction) -> None:
 
 def _custom_form(f: DivisorFunction, t: int) -> tuple[int, int, int]:
     if t < len(f.table):
-        return _rational_form(f.table[t])
+        return f.table[t].numerator, f.table[t].denominator, 1
     if f.tail_offset is None:
         raise ValueError(f"custom divisor table covers t < {len(f.table)}; got t={t}")
-    return _rational_form(t + f.tail_offset)
+    return _offset_form(t, f.tail_offset)
 
 
 class DivisorFamily(NamedTuple):
@@ -174,7 +205,7 @@ DIVISOR_FAMILIES = {
     # t(t+1) / (t + 1/2), in lowest terms; equals 0 at t = 0
     "dean": DivisorFamily(lambda f, t: (2 * t * (t + 1), 2 * t + 1, 1)),
     "stationary": DivisorFamily(
-        lambda f, t: _rational_form(t + f.c),
+        lambda f, t: _offset_form(t, f.c),
         _check_stationary,
         lambda f: f"stationary:{format_rational(f.c)}",
     ),
@@ -238,11 +269,9 @@ def compare_scores(
     """Exact order of f(t_a)/w_a versus f(t_b)/w_b: -1, 0, or 1."""
     if t_a < 0 or t_b < 0:
         raise ValueError("pick counts must be non-negative")
-    w_a, w_b = Fraction(w_a), Fraction(w_b)
-    if w_a <= 0 or w_b <= 0:
-        raise ValueError("weights must be strictly positive")
+    w_a, w_b = integer_weights((w_a, w_b))
     a, b = f.key(t_a, w_a), f.key(t_b, w_b)
-    return (a > b) - (a < b)
+    return (b < a) - (a < b)
 
 
 def _check_arguments(n: int, m: int, weights: Sequence) -> tuple[Fraction, ...]:
@@ -263,23 +292,24 @@ def divisor_sequence(
 ) -> PickingSequence:
     """Length-m sequence: each turn goes to the argmin of f(t_i)/w_i.
 
-    Ties break in favor of the lowest agent index.  A heap of (key, agent)
-    makes this O(m log n); an agent's next key is evaluated only while a
-    turn remains, so f is evaluated at exactly the counts a turn compares.
+    Ties break in favor of the lowest agent index.  A heap of integer
+    order keys on the integer-scaled weights makes this O(m log n); an
+    agent's next key is evaluated only while a turn remains, so f is
+    evaluated at exactly the counts a turn compares.
     """
-    ws = _check_arguments(n, m, weights)
+    ws = integer_weights(_check_arguments(n, m, weights))
     if n == 1 or m == 0:
         return PickingSequence((0,) * m)  # no turn compares two scores
-    heap = [(f.key(0, w), i) for i, w in enumerate(ws)]
+    heap = [f.key(0, w, i) for i, w in enumerate(ws)]
     heapq.heapify(heap)
     counts = [0] * n
     turns = []
     for turn in range(1, m + 1):
-        best = heap[0][1]
+        best = heap[0].agent
         turns.append(best)
         counts[best] += 1
         if turn < m:
-            heapq.heapreplace(heap, (f.key(counts[best], ws[best]), best))
+            heapq.heapreplace(heap, f.key(counts[best], ws[best], best))
     return PickingSequence(tuple(turns))
 
 

@@ -299,6 +299,46 @@ def test_consistency_explicit_pair_agent_below_one_exit_two(capsys, argv, flag):
     assert f"{flag}: must be a 1-indexed agent" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "weight", "--base", "[1,2,1]", "--modified", "[2,1,1]", "--agent", "9"],
+         "agent: must be at most 2, the largest agent --base and --modified name"),
+        (["--kind", "weight", "--base", "[1,2,1]", "--modified", "[2,1,1]", "--agent", "3"],
+         "agent: must be at most 2,"),
+        (["--kind", "population", "--base", "[1,2,1]", "--modified", "[1,2,1]", "--new-agent", "7"],
+         "new-agent: must be at most 3, one above the largest agent --base and --modified name"),
+        (["--kind", "population", "--base", "[1,2,1]", "--modified", "[1,2,1]", "--new-agent", "4"],
+         "new-agent: must be at most 3,"),
+    ],
+    ids=["agent-9", "agent-3", "new-agent-7", "new-agent-4"],
+)
+def test_consistency_explicit_pair_agent_above_sequences_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, "consistency", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, verdict, exit_code",
+    [
+        # the largest agent either sequence names
+        (["--kind", "weight", "--base", "[1,2,1]", "--modified", "[2,1,1]", "--agent", "2"],
+         "holds", 0),
+        # one above it: a new agent that got no turn
+        (["--kind", "population", "--base", "[1,2,1]", "--modified", "[1,2,1]", "--new-agent", "3"],
+         "holds", 0),
+        (["--kind", "population", "--base", "[1,2,1]", "--modified", "[2,1,1]", "--new-agent", "3"],
+         "VIOLATED", 1),
+    ],
+    ids=["agent-2", "new-agent-3", "new-agent-3-violated"],
+)
+def test_consistency_explicit_pair_agent_at_bound_accepted(capsys, argv, verdict, exit_code):
+    code, out, err = run_cli(capsys, "consistency", *argv)
+    assert code == exit_code and err == ""
+    assert out.strip().endswith(verdict)
+
+
 def test_consistency_method_agent_out_of_range_exit_two(capsys):
     code, out, err = run_cli(capsys, "consistency", "--kind", "weight", "--method", "quota",
                              "--weights", "1,2", "--turns", "4", "--agent", "3", "--new-weight", "5")

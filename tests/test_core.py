@@ -1,4 +1,7 @@
+import copy
 import json
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -95,6 +98,59 @@ def test_integer_utilities_zero_row_and_no_items():
     assert scales == (1, 5)
     assert rows == ((0, 0, 0), (1, 0, 5))
     assert integer_utilities(Instance((1, Fraction(1, 2)), ((), ()))) == ((1, 1), ((), ()))
+
+
+def fresh_view(inst: Instance):
+    """The integer view computed from scratch: the common weight scale and
+    each row's smallest integral multiple."""
+    weight_scale = math.lcm(*(w.denominator for w in inst.weights))
+    scales = tuple(math.lcm(*(u.denominator for u in row)) for row in inst.utilities)
+    rows = tuple(tuple(int(u * s) for u in row) for s, row in zip(scales, inst.utilities))
+    return tuple(int(w * weight_scale) for w in inst.weights), (scales, rows)
+
+
+def mixed_instance() -> Instance:
+    return Instance(
+        (Fraction(3, 4), 2, Fraction(5, 6)),
+        ((Fraction(1, 2), 3, 0), (1, Fraction(2, 3), Fraction(7, 9)), (0, 0, 0)),
+        agent_names=("a", "b", "c"),
+    )
+
+
+def test_integer_view_is_memoized_and_matches_fresh_computation():
+    inst = mixed_instance()
+    view = integer_utilities(inst)
+    assert integer_utilities(inst) is view
+    assert inst.scaled_weights is inst.scaled_weights
+    assert (inst.scaled_weights, view) == fresh_view(inst)
+    assert fresh_view(inst) == ((9, 24, 10), ((2, 9, 1), ((1, 6, 0), (9, 6, 7), (0, 0, 0))))
+
+
+def test_filled_integer_view_leaves_equality_hash_repr_and_pickle_unchanged():
+    cold, warm = mixed_instance(), mixed_instance()
+    before = (repr(warm), hash(warm), pickle.dumps(warm), copy.copy(warm), copy.deepcopy(warm))
+    integer_utilities(warm)
+    warm.scaled_weights
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert (repr(warm), hash(warm), pickle.dumps(warm), copy.copy(warm), copy.deepcopy(warm)) == before
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    for clone in (pickle.loads(pickle.dumps(warm)), copy.copy(warm), copy.deepcopy(warm)):
+        assert clone == warm and "scaled_utilities" not in vars(clone)
+        assert (clone.scaled_weights, integer_utilities(clone)) == fresh_view(warm)
+
+
+def test_derived_instances_get_their_own_integer_view():
+    inst = mixed_instance()
+    integer_utilities(inst), inst.scaled_weights  # fill the parent's view before deriving
+    derived = [
+        inst.replace_weight(1, Fraction(7, 10)),
+        inst.add_item((Fraction(1, 5), 4, Fraction(3, 8))),
+        inst.add_agent(Fraction(1, 7), (Fraction(5, 11), 0, 2)),
+    ]
+    for other in derived:
+        assert (other.scaled_weights, integer_utilities(other)) == fresh_view(other)
+    assert derived[0].scaled_weights == (45, 42, 50)
+    assert (inst.scaled_weights, integer_utilities(inst)) == fresh_view(inst)
 
 
 def test_instance_validation():

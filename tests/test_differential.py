@@ -7,6 +7,7 @@ values: holds, and the witness's lhs, rhs, agent, against, prefix, removed
 set and t.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -212,3 +213,29 @@ def test_execute_and_envy_edges_match_reference():
         bundles = [set(b) for b in random_allocation(rng, inst.n, inst.m).bundles]
         _, rows = integer_utilities(inst)
         assert _envy_edges(rows, bundles) == reference.envy_edges(inst, bundles), (inst, bundles)
+
+
+def benchmark_scale_weights(rng, n, rational):
+    """Vote-count integers in [10^4, 5*10^6], or p/q weights whose
+    denominators have an lcm above 10^6."""
+    if not rational:
+        return tuple(Fraction(rng.randint(10_000, 5_000_000)) for _ in range(n))
+    while True:
+        weights = tuple(Fraction(rng.randint(1, 10_000), rng.randint(100, 999)) for _ in range(n))
+        if math.lcm(*(w.denominator for w in weights)) > 10**6:
+            return weights
+
+
+@pytest.mark.parametrize("f", FAMILIES, ids=family_id)
+def test_sequences_and_comparisons_match_reference_at_benchmark_scale(f):
+    rng = random.Random(5108)
+    n, m = 10, 100
+    for rational in (False, True, False, True):
+        weights = benchmark_scale_weights(rng, n, rational)
+        assert divisor_sequence(f, n, m, weights) == reference.divisor_sequence(f, n, m, weights), weights
+        for _ in range(40):
+            t_a, t_b = rng.randint(0, m), rng.randint(0, m)
+            w_a, w_b = rng.choice(weights), rng.choice(weights)
+            assert compare_scores(f, t_a, w_a, t_b, w_b) == reference.compare_scores(
+                f, t_a, w_a, t_b, w_b
+            ), (t_a, w_a, t_b, w_b)

@@ -323,3 +323,32 @@ def test_quota_prefixes_satisfy_quota_axiom():
         weights = tuple(Fraction(rng.randint(1, 10)) for _ in range(n))
         seq = quota_sequence(n, m, weights)
         assert check_quota_bounds(seq, weights, mode="every-prefix", bound="both").holds
+
+
+@pytest.mark.parametrize(
+    "f",
+    list(TRADITIONAL.values())
+    + [stationary(Fraction(1, 3)), power_mean(2, Fraction(1, 2)), power_mean(0, Fraction(1, 3)),
+       power_mean(-2, Fraction(1, 3)), power_mean(1, Fraction(1, 3)),
+       custom([0, Fraction(3, 2)], tail_offset=Fraction(1, 2))],
+    ids=lambda f: f.name,
+)
+def test_divisor_sequence_builds_no_fraction_per_turn(monkeypatch, f):
+    # the heap compares integer keys: Fractions are built only from the
+    # input weights, so their number does not grow with the turn count
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(None)
+        return new(cls, *args, **kwargs)
+
+    weights = (Fraction(3, 7), Fraction(5), Fraction(11, 13), Fraction(2))
+    counts = []
+    for m in (10, 200):
+        built.clear()
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        divisor_sequence(f, 4, m, weights)
+        monkeypatch.undo()
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 2 * len(weights)

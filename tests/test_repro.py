@@ -1,4 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +89,19 @@ def test_table_expected_matches_documented_matrix():
     assert t["adams"]["wef1"] and not t["jefferson"]["wef1"]
     assert all(t[r]["wwef1"] for r in t)
     assert t["jefferson"]["wprop1"] and t["quota"]["wprop1"] and not t["adams"]["wprop1"]
+
+
+GOLDEN_REPRO_ALL = Path(__file__).resolve().parent / "golden" / "repro_all.json"
+
+
+def test_repro_all_json_matches_golden_file():
+    # `pickseq repro --all --json` stdout, byte for byte, as recorded in the
+    # committed file (sha256 e325779b..., Python 3.11.7): results must stay
+    # identical across changes, not only across two runs of one build
+    golden = GOLDEN_REPRO_ALL.read_bytes()
+    assert hashlib.sha256(golden).hexdigest().startswith("e325779b")
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN_REPRO_ALL.parents[2] / "src"))
+    done = subprocess.run([sys.executable, "-m", "pickseq", "repro", "--all", "--json"],
+                          capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stderr == b""
+    assert done.stdout == golden
