@@ -4,6 +4,8 @@ Every weight, utility, and score this package accepts or returns is an
 arbitrary-precision rational (``fractions.Fraction``).  Floating point
 never enters the data model: the constructions this library reproduces sit
 on knife-edge inequalities, so every argmin tie must be decided exactly.
+Each value is converted once, where it enters, by one helper that keeps a
+Fraction as it is and raises ``TypeError`` on a float at every entry point.
 
 Internally the hot paths compare integers instead.  ``integer_weights``
 scales the weight vector by the lcm of its denominators, and
@@ -11,9 +13,11 @@ scales the weight vector by the lcm of its denominators, and
 row's denominators.  A per-agent scale is sound wherever an inequality
 weighs one agent's values against that same agent's values; witnesses are
 divided back into the same Fractions.  An ``Instance`` computes its integer
-view (``scaled_weights`` and ``scaled_utilities``) on first use and keeps
-it, so every layer that reads one instance shares one conversion; the view
-takes no part in equality, hashing, ``repr`` or pickling.
+view (``scaled_weights``, ``scaled_utilities`` and the ``preference_orders``
+sorted from them) on first use and keeps it, so every layer that reads one
+instance shares one conversion; ``allocation_utilities`` sums the scaled
+rows and divides once per agent.  The view takes no part in equality,
+hashing, ``repr`` or pickling.
 
 Agents and items are 0-indexed in code and 1-indexed in serialized
 documents and CLI output.
@@ -67,13 +71,18 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Render ``p/q`` in lowest terms, or a bare integer when q == 1."""
-    q = Fraction(q)
+    q = _as_rational(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
 def _as_rational(value: object) -> Fraction:
+    """The one conversion of a weight, utility or parameter to an exact
+    rational.  A Fraction is returned as it is, since ``Fraction(q)`` for a
+    Fraction q takes the slow ``numbers.Rational`` path; floats raise."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are banned from the data model; use Fraction")
     return Fraction(value)
@@ -104,14 +113,15 @@ class Instance:
         n = len(weights)
         if n < 1:
             raise ValueError("an instance needs at least one agent")
-        if any(w <= 0 for w in weights):
+        # a Fraction's denominator is positive: its sign is its numerator's
+        if any(w.numerator <= 0 for w in weights):
             raise ValueError("weights must be strictly positive")
         if len(utilities) != n:
             raise ValueError(f"utilities has {len(utilities)} rows for {n} agents")
         m = len(utilities[0]) if utilities else 0
         if any(len(row) != m for row in utilities):
             raise ValueError("utility rows must all have the same length")
-        if any(u < 0 for row in utilities for u in row):
+        if any(u.numerator < 0 for row in utilities for u in row):
             raise ValueError("utilities must be non-negative")
         if self.agent_names is not None and len(self.agent_names) != n:
             raise ValueError("agent_names length must equal the agent count")
@@ -142,8 +152,18 @@ class Instance:
             rows.append(tuple(u.numerator * (scale // u.denominator) for u in row))
         return tuple(scales), tuple(rows)
 
+    @cached_property
+    def preference_orders(self) -> tuple[tuple[int, ...], ...]:
+        """Each agent's items by value descending, ties to the lower index,
+        computed on first use: the order truthful picking takes them in."""
+        # a stable descending sort keeps equal values in index order
+        return tuple(
+            tuple(sorted(range(self.m), key=row.__getitem__, reverse=True))
+            for row in self.scaled_utilities[1]
+        )
+
     def __getstate__(self) -> dict:
-        # the cached integer view is derived data: pickle and copy the fields
+        # the cached views are derived data: pickle and copy the fields
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def add_item(self, column: Sequence[object]) -> "Instance":
@@ -235,8 +255,8 @@ def integer_weights(weights: Iterable) -> tuple[int, ...]:
     """Positive rational weights scaled by the lcm of their denominators:
     integers in the same ratios, so weight comparisons become integer
     cross-multiplication."""
-    weights = tuple(Fraction(w) for w in weights)
-    if any(w <= 0 for w in weights):
+    weights = tuple(_as_rational(w) for w in weights)
+    if any(w.numerator <= 0 for w in weights):
         raise ValueError("weights must be strictly positive")
     scale = math.lcm(*(w.denominator for w in weights))
     return tuple(w.numerator * (scale // w.denominator) for w in weights)
@@ -270,8 +290,10 @@ def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fra
 def allocation_utilities(instance: Instance, allocation: Allocation) -> tuple[Fraction, ...]:
     """Each agent's exact utility for her own bundle."""
     allocation.validate_for(instance)
+    scales, rows = instance.scaled_utilities
     return tuple(
-        bundle_utility(instance, i, allocation.bundles[i]) for i in range(instance.n)
+        Fraction(sum(row[g] for g in bundle), scale)
+        for scale, row, bundle in zip(scales, rows, allocation.bundles)
     )
 
 

@@ -6,16 +6,17 @@ items are all worth zero still picks (the lowest-indexed one), so every
 sequence of length m consumes all m items.
 
 Each agent compares only her own values, so the picks are made on her
-integer-scaled row (``core.integer_utilities``): every agent who has a turn
-sorts her items once by (value descending, index ascending) and takes the
-first item of that order not yet taken.
+integer-scaled row (``core.integer_utilities``): every agent takes the
+first item not yet taken in her ``Instance.preference_orders`` entry, her
+items by (value descending, index ascending), which the instance sorts once
+and keeps.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Allocation, Instance, PickingSequence, integer_utilities, turns_of
+from .core import Allocation, Instance, PickingSequence, turns_of
 
 
 def execute(instance: Instance, sequence: PickingSequence | Iterable[int]) -> Allocation:
@@ -27,16 +28,12 @@ def execute(instance: Instance, sequence: PickingSequence | Iterable[int]) -> Al
     if any(not 0 <= a < instance.n for a in turns):
         raise ValueError(f"sequence references an agent outside 1..{instance.n}")
 
-    _, rows = integer_utilities(instance)
+    orders = instance.preference_orders
     taken = [False] * instance.m
-    orders: dict[int, list[int]] = {}
     next_pick = [0] * instance.n
     bundles = [set() for _ in range(instance.n)]
     for agent in turns:
-        order = orders.get(agent)
-        if order is None:
-            # a stable descending sort keeps equal values in index order
-            order = orders[agent] = sorted(range(instance.m), key=rows[agent].__getitem__, reverse=True)
+        order = orders[agent]
         k = next_pick[agent]
         while taken[order[k]]:
             k += 1

@@ -24,6 +24,7 @@ from .core import (
     Allocation,
     Instance,
     PickingSequence,
+    _as_rational,
     integer_utilities,
     integer_weights,
     turns_of,
@@ -293,6 +294,6 @@ def zero_one_instance(weights: Sequence, m: int, k: int) -> Instance:
     This is the profile that converts a sequence-level failure at prefix k
     into a concrete allocation-level violation.
     """
-    ws = tuple(Fraction(w) for w in weights)
+    ws = tuple(_as_rational(w) for w in weights)
     row = tuple(Fraction(1) if j < k else Fraction(0) for j in range(m))
     return Instance(ws, tuple(row for _ in ws))

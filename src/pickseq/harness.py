@@ -20,7 +20,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import mwnw
-from .core import Allocation, Instance, PickingSequence, allocation_utilities, turns_of
+from .core import (
+    Allocation, Instance, PickingSequence, _as_rational, allocation_utilities, turns_of,
+)
 from .executor import execute
 from .fairness import FairnessVerdict, check_allocation, check_sequence, zero_one_instance
 from .methods import Rule
@@ -87,7 +89,7 @@ def compare_population(
 
 def compare_weight(rule: Rule, base: Instance, agent: int, new_weight) -> MonotonicityReport:
     """Run the rule before and after raising one agent's weight."""
-    new_weight = Fraction(new_weight)
+    new_weight = _as_rational(new_weight)
     if not 0 <= agent < base.n:
         raise ValueError(f"agent index {agent} out of range")
     if new_weight <= base.weights[agent]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from . import baselines, mwnw
+from . import baselines, core, mwnw
 from .core import ParseError, PickingSequence, format_rational, integer_weights, parse_rational
 
 
@@ -33,11 +33,10 @@ class PrecisionError(ValueError):
 
 
 def _as_rational(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floats are banned; pass Fraction, int, or 'p/q' string")
+    """``core._as_rational``, with strings parsed strictly as 'p/q'."""
     if isinstance(value, str):
         return parse_rational(value, "parameter")
-    return Fraction(value)
+    return core._as_rational(value)
 
 
 @dataclass(frozen=True)
@@ -274,16 +273,16 @@ def compare_scores(
     return (b < a) - (a < b)
 
 
-def _check_arguments(n: int, m: int, weights: Sequence) -> tuple[Fraction, ...]:
+def _check_arguments(n: int, m: int, weights: Sequence) -> tuple[int, ...]:
+    """The weights scaled to integers (``core.integer_weights``), after
+    checking n, m and the weight count."""
     if n < 1:
         raise ValueError("need at least one agent")
     if m < 0:
         raise ValueError("item count must be non-negative")
-    ws = tuple(Fraction(w) for w in weights)
+    ws = integer_weights(weights)
     if len(ws) != n:
         raise ValueError(f"need {n} weights, got {len(ws)}")
-    if any(w <= 0 for w in ws):
-        raise ValueError("weights must be strictly positive")
     return ws
 
 
@@ -297,7 +296,7 @@ def divisor_sequence(
     agent's next key is evaluated only while a turn remains, so f is
     evaluated at exactly the counts a turn compares.
     """
-    ws = integer_weights(_check_arguments(n, m, weights))
+    ws = _check_arguments(n, m, weights)
     if n == 1 or m == 0:
         return PickingSequence((0,) * m)  # no turn compares two scores
     heap = [f.key(0, w, i) for i, w in enumerate(ws)]
@@ -321,7 +320,7 @@ def quota_sequence(n: int, m: int, weights: Sequence) -> PickingSequence:
     to integers.  The eligibility set is provably non-empty each round; an
     empty set would mean an arithmetic bug.
     """
-    ws = integer_weights(_check_arguments(n, m, weights))
+    ws = _check_arguments(n, m, weights)
     total = sum(ws)
     counts = [0] * n
     turns = []

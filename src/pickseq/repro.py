@@ -104,10 +104,6 @@ class NamedCase:
         return CaseResult(self.id, actual == self.expected, self.expected, actual)
 
 
-def _q(x) -> str:
-    return format_rational(Fraction(x))
-
-
 def _seq1(sequence) -> list[int]:
     return [a + 1 for a in sequence]
 
@@ -117,12 +113,7 @@ def _bundles1(allocation) -> list[list[int]]:
 
 
 def _weightmon_instance(extended: bool, weights) -> Instance:
-    if extended:
-        rows = tuple(
-            tuple(Fraction(v) for v in EXTRA_ITEM_VALUES + row) for row in WEIGHTMON_TABLE
-        )
-    else:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in WEIGHTMON_TABLE)
+    rows = tuple(EXTRA_ITEM_VALUES + row if extended else row for row in WEIGHTMON_TABLE)
     return Instance(tuple(weights), rows)
 
 
@@ -146,10 +137,10 @@ def _run_weightmon_divisor(method: str) -> dict:
     return {
         "sequence_base": _seq1(seq_base),
         "sequence_boosted": _seq1(seq_boost),
-        "utility_base": _q(report.before[0]),
-        "utility_boosted": _q(report.after[0]),
-        "core_utility_base": _q(core_base),
-        "core_utility_boosted": _q(core_boost),
+        "utility_base": format_rational(report.before[0]),
+        "utility_boosted": format_rational(report.after[0]),
+        "core_utility_base": format_rational(core_base),
+        "core_utility_boosted": format_rational(core_boost),
         "violated": report.violated,
     }
 
@@ -178,8 +169,8 @@ def _run_quota_weightmon() -> dict:
     return {
         "sequence_base": _seq1(seq_base),
         "sequence_boosted": _seq1(seq_boost),
-        "utility_base": _q(report.before[0]),
-        "utility_boosted": _q(report.after[0]),
+        "utility_base": format_rational(report.before[0]),
+        "utility_boosted": format_rational(report.after[0]),
         "violated": report.violated,
     }
 
@@ -196,8 +187,8 @@ def _run_quota_popmon() -> dict:
     return {
         "sequence_base": _seq1(seq_base),
         "sequence_modified": _seq1(seq_mod),
-        "utility_base": _q(report.before[0]),
-        "utility_modified": _q(report.after[0]),
+        "utility_base": format_rational(report.before[0]),
+        "utility_modified": format_rational(report.after[0]),
         "violated": report.violated,
     }
 
@@ -212,8 +203,8 @@ def _run_mnw_resmon() -> dict:
     return {
         "bundles_base": _bundles1(solve(base)),
         "bundles_modified": _bundles1(solve(base.add_item((2, 1)))),
-        "utility_base": _q(report.before[0]),
-        "utility_modified": _q(report.after[0]),
+        "utility_base": format_rational(report.before[0]),
+        "utility_modified": format_rational(report.after[0]),
         "violated": report.violated,
     }
 
@@ -228,8 +219,8 @@ def _run_mnw_popmon() -> dict:
     return {
         "bundles_base": _bundles1(solve(base)),
         "bundles_modified": _bundles1(solve(base.add_agent(1, (2, 1, 1, 3)))),
-        "utility_base": _q(report.before[0]),
-        "utility_modified": _q(report.after[0]),
+        "utility_base": format_rational(report.before[0]),
+        "utility_modified": format_rational(report.after[0]),
         "violated": report.violated,
     }
 
@@ -246,8 +237,8 @@ def _run_mwnw_wprop1() -> dict:
     return {
         "bundle_sizes": [len(b) for b in alloc.bundles],
         "wprop1_holds": verdict.holds,
-        "lhs": _q(verdict.witness.lhs) if verdict.witness else None,
-        "rhs": _q(verdict.witness.rhs) if verdict.witness else None,
+        "lhs": format_rational(verdict.witness.lhs) if verdict.witness else None,
+        "rhs": format_rational(verdict.witness.rhs) if verdict.witness else None,
     }
 
 
@@ -262,8 +253,8 @@ def _run_mwnw_wef1() -> dict:
         "bundle_sizes": [len(b) for b in alloc.bundles],
         "wef1_holds": wef1.holds,
         "wwef1_holds": wwef1.holds,
-        "lhs": _q(wef1.witness.lhs) if wef1.witness else None,
-        "rhs": _q(wef1.witness.rhs) if wef1.witness else None,
+        "lhs": format_rational(wef1.witness.lhs) if wef1.witness else None,
+        "rhs": format_rational(wef1.witness.rhs) if wef1.witness else None,
     }
 
 
@@ -271,8 +262,8 @@ def _run_ecycle_resmon() -> dict:
     base = Instance((1, 1, 1), ((10, 5, 1), (6, 1, 2), (0, 4, 1)))
     report = compare_resource(Rule("envy_cycle"), base, (11, 1, 0))
     return {
-        "agent3_utility_base": _q(report.before[2]),
-        "agent3_utility_modified": _q(report.after[2]),
+        "agent3_utility_base": format_rational(report.before[2]),
+        "agent3_utility_modified": format_rational(report.after[2]),
         "violated": report.violated,
     }
 
@@ -288,8 +279,8 @@ def _run_aw_resmon() -> dict:
     )
     report = compare_resource(Rule("adjusted_winner"), base, (eps, eps))
     return {
-        "agent1_utility_base": _q(report.before[0]),
-        "agent1_utility_modified": _q(report.after[0]),
+        "agent1_utility_base": format_rational(report.before[0]),
+        "agent1_utility_modified": format_rational(report.after[0]),
         "violated": report.violated,
     }
 
@@ -310,8 +301,8 @@ def _run_quota_weight_consistency() -> dict:
         "sequence_base": _seq1(seq_base),
         "sequence_boosted": _seq1(seq_boost),
         "weight_consistent_pair": check_weight_consistency_pair(seq_base, seq_boost, 0),
-        "utility_base": _q(report.before[0]),
-        "utility_boosted": _q(report.after[0]),
+        "utility_base": format_rational(report.before[0]),
+        "utility_boosted": format_rational(report.after[0]),
         "violated": report.violated,
     }
 

@@ -14,6 +14,7 @@ from pickseq.core import (
     bundle_utility,
     format_rational,
     integer_utilities,
+    integer_weights,
     parse_allocation,
     parse_instance,
     parse_rational,
@@ -21,6 +22,16 @@ from pickseq.core import (
     serialize_allocation,
     serialize_instance,
     serialize_sequence,
+)
+from pickseq.fairness import check_quota_bounds, check_sequence, zero_one_instance
+from pickseq.harness import compare_weight
+from pickseq.methods import (
+    WEBSTER,
+    compare_scores,
+    divisor_rule,
+    divisor_sequence,
+    quota_sequence,
+    stationary,
 )
 
 # five items, three agents; the flip table used across the repro catalog
@@ -109,6 +120,13 @@ def fresh_view(inst: Instance):
     return tuple(int(w * weight_scale) for w in inst.weights), (scales, rows)
 
 
+def fresh_orders(inst: Instance):
+    """Each agent's items by Fraction value descending, ties to the lower index."""
+    return tuple(
+        tuple(sorted(range(inst.m), key=lambda g: (-row[g], g))) for row in inst.utilities
+    )
+
+
 def mixed_instance() -> Instance:
     return Instance(
         (Fraction(3, 4), 2, Fraction(5, 6)),
@@ -124,24 +142,29 @@ def test_integer_view_is_memoized_and_matches_fresh_computation():
     assert inst.scaled_weights is inst.scaled_weights
     assert (inst.scaled_weights, view) == fresh_view(inst)
     assert fresh_view(inst) == ((9, 24, 10), ((2, 9, 1), ((1, 6, 0), (9, 6, 7), (0, 0, 0))))
+    assert inst.preference_orders is inst.preference_orders
+    assert inst.preference_orders == fresh_orders(inst) == ((1, 0, 2), (0, 2, 1), (0, 1, 2))
 
 
 def test_filled_integer_view_leaves_equality_hash_repr_and_pickle_unchanged():
     cold, warm = mixed_instance(), mixed_instance()
     before = (repr(warm), hash(warm), pickle.dumps(warm), copy.copy(warm), copy.deepcopy(warm))
     integer_utilities(warm)
-    warm.scaled_weights
+    warm.scaled_weights, warm.preference_orders
     assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
     assert (repr(warm), hash(warm), pickle.dumps(warm), copy.copy(warm), copy.deepcopy(warm)) == before
     assert pickle.dumps(warm) == pickle.dumps(cold)
     for clone in (pickle.loads(pickle.dumps(warm)), copy.copy(warm), copy.deepcopy(warm)):
         assert clone == warm and "scaled_utilities" not in vars(clone)
+        assert "preference_orders" not in vars(clone)
         assert (clone.scaled_weights, integer_utilities(clone)) == fresh_view(warm)
+        assert clone.preference_orders == fresh_orders(warm)
 
 
 def test_derived_instances_get_their_own_integer_view():
     inst = mixed_instance()
-    integer_utilities(inst), inst.scaled_weights  # fill the parent's view before deriving
+    # fill the parent's view before deriving
+    integer_utilities(inst), inst.scaled_weights, inst.preference_orders
     derived = [
         inst.replace_weight(1, Fraction(7, 10)),
         inst.add_item((Fraction(1, 5), 4, Fraction(3, 8))),
@@ -149,8 +172,11 @@ def test_derived_instances_get_their_own_integer_view():
     ]
     for other in derived:
         assert (other.scaled_weights, integer_utilities(other)) == fresh_view(other)
+        assert other.preference_orders == fresh_orders(other)
     assert derived[0].scaled_weights == (45, 42, 50)
+    assert derived[1].preference_orders[0] == (1, 0, 3, 2)
     assert (inst.scaled_weights, integer_utilities(inst)) == fresh_view(inst)
+    assert inst.preference_orders == fresh_orders(inst)
 
 
 def test_instance_validation():
@@ -164,6 +190,39 @@ def test_instance_validation():
         Instance((1,), ((Fraction(-1, 2),),))
     with pytest.raises(TypeError):
         Instance((1.5,), ((1,),))
+
+
+FLOAT_ENTRY_POINTS = {
+    "Instance": lambda: Instance((1, 2), ((1,), (0.5,))),
+    "add_item": lambda: flip_instance().add_item((1, 0.5, 2)),
+    "add_agent": lambda: flip_instance().add_agent(0.5, (0, 0, 0, 0, 1)),
+    "replace_weight": lambda: flip_instance().replace_weight(0, 0.5),
+    "integer_weights": lambda: integer_weights([0.1, 1]),
+    "divisor_sequence": lambda: divisor_sequence(WEBSTER, 2, 4, [0.5, 1.0]),
+    "quota_sequence": lambda: quota_sequence(2, 4, [1, 0.5]),
+    "check_sequence": lambda: check_sequence("wef1", [0, 1, 0], [1, 0.5]),
+    "check_quota_bounds": lambda: check_quota_bounds([0, 1, 0], [1, 0.5]),
+    "compare_scores": lambda: compare_scores(WEBSTER, 0, 0.5, 1, 1),
+    "zero_one_instance": lambda: zero_one_instance([1, 0.5], 3, 2),
+    "compare_weight": lambda: compare_weight(divisor_rule(WEBSTER), flip_instance(), 0, 2.5),
+    "stationary": lambda: stationary(0.5),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_ENTRY_POINTS.values(), ids=list(FLOAT_ENTRY_POINTS))
+def test_floats_raise_type_error_at_every_entry_point(call):
+    # 0.1 is the binary 3602879701896397/2^55, not 1/10: it never enters silently
+    with pytest.raises(TypeError, match="floats are banned"):
+        call()
+
+
+def test_fractions_enter_as_they_are():
+    w, u = Fraction(3, 4), Fraction(5, 6)
+    inst = Instance((w, 2), ((u,), (0,)))
+    assert inst.weights[0] is w and inst.utilities[0][0] is u
+    assert inst.add_item((u, 1)).utilities[0][1] is u
+    assert inst.replace_weight(1, w).weights[1] is w
+    assert integer_weights([w, Fraction(1, 2), 3]) == (3, 2, 12)
 
 
 def test_instance_perturbation_helpers():

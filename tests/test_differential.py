@@ -15,7 +15,7 @@ import pytest
 
 import reference
 from pickseq.baselines import _envy_edges
-from pickseq.core import Allocation, Instance, integer_utilities
+from pickseq.core import Allocation, Instance, allocation_utilities, bundle_utility, integer_utilities
 from pickseq.executor import execute
 from pickseq.fairness import (
     check_allocation,
@@ -202,6 +202,17 @@ def test_allocation_verdicts_match_reference():
                 assert check_allocation(notion, inst, allocation) == reference.check_allocation(
                     notion, inst, allocation
                 ), (notion, inst, allocation)
+
+
+def test_allocation_utilities_match_bundle_utility_sums():
+    # the integer view, divided once per agent, against Fraction additions
+    rng = random.Random(5109)
+    for _ in range(400):
+        inst = draw_instance(rng, 5, 9)
+        allocation = random_allocation(rng, inst.n, inst.m)
+        expected = tuple(bundle_utility(inst, i, b) for i, b in enumerate(allocation.bundles))
+        got = allocation_utilities(inst, allocation)
+        assert got == expected and all(type(u) is Fraction for u in got), (inst, allocation)
 
 
 def test_execute_and_envy_edges_match_reference():

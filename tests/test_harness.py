@@ -271,6 +271,34 @@ def test_scan_monotonicity_property():
     assert report.perturbation["kind"] == "resource"
 
 
+@pytest.mark.parametrize(
+    "rule, prop",
+    [
+        (divisor_rule(WEBSTER), "wef1"),  # fails, so the 0/1 bridge instance is built too
+        (divisor_rule(ADAMS), "wwef1"),
+        (divisor_rule(WEBSTER), "resource"),
+        (divisor_rule(ADAMS), "population"),
+        (QUOTA, "weight"),
+    ],
+)
+def test_scan_never_wraps_a_fraction_in_a_fraction(monkeypatch, rule, prop):
+    # every value is converted once where it enters: Fraction(q) for a
+    # Fraction q takes the slow numbers.Rational path and is never needed
+    rewrapped = []
+    new = Fraction.__new__
+
+    def counting_new(cls, numerator=0, denominator=None, **kwargs):
+        if type(numerator) is Fraction and denominator is None:
+            rewrapped.append(numerator)
+        return new(cls, numerator, denominator, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    report = scan(rule, prop, max_n=4, max_m=8, trials=200, seed=914)
+    monkeypatch.undo()
+    assert (report is not None) == (prop == "wef1")
+    assert rewrapped == []
+
+
 def test_scan_rejects_unknown_property():
     with pytest.raises(ValueError):
         scan(MWNW, "pareto", trials=10, seed=0)
