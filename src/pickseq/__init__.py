@@ -11,7 +11,6 @@ from .core import (
     Instance,
     ParseError,
     PickingSequence,
-    Rational,
     allocation_utilities,
     bundle_utility,
     format_rational,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Allocation, Instance, PickingSequence, integer_utilities
+from .core import Allocation, Instance, PickingSequence
 
 
 def round_robin_sequence(n: int, m: int) -> PickingSequence:
@@ -24,7 +24,7 @@ def round_robin_sequence(n: int, m: int) -> PickingSequence:
 def _envy_edges(rows: tuple[tuple[int, ...], ...], bundles: list[set[int]]) -> list[list[bool]]:
     """edges[i][j] iff agent i strictly prefers bundle j to her own.
 
-    ``rows`` are the integer-scaled utilities of ``core.integer_utilities``:
+    ``rows`` are the integer-scaled utilities of ``Instance.scaled_utilities``:
     each edge compares one agent's values only, so the scale keeps it.
     """
     n = len(rows)
@@ -73,7 +73,7 @@ def envy_cycle_eliminate(instance: Instance) -> Allocation:
     breaking ties by agent index and then item index.
     """
     n, m = instance.n, instance.m
-    _, rows = integer_utilities(instance)
+    _, rows = instance.scaled_utilities
     bundles: list[set[int]] = [set() for _ in range(n)]
     remaining = list(range(m))
 
@@ -116,7 +116,7 @@ def adjusted_winner(instance: Instance) -> Allocation:
     This rule stays on the Fractions.  Its order divides one agent's value
     by the other's, so it is not a one-agent comparison, and the textbook
     procedure's equalizing step, u1(A) = u2(B), would not survive per-agent
-    scales (``core.integer_utilities``).  This adaptation happens to be
+    scales (``Instance.scaled_utilities``).  This adaptation happens to be
     safe (the scales multiply every ratio by the same s1/s2, and the stop
     test sums u1 only), but with two agents and one sort there is nothing
     to gain.

@@ -55,6 +55,9 @@ from .mwnw import DEFAULT_BUDGET, BudgetExceededError, solve
 # work: quota costs O(n·m), and 10^3 agents over 10^4 turns take about 2 s.
 MAX_TURNS = 10_000
 MAX_AGENTS = 1_000
+# Upper bounds on `scan`'s --trials, --max-n and --max-m: the slowest scan
+# they admit, MWNW weight monotonicity, finds nothing in 24-31 s.
+MAX_SCAN_BOUNDS = {"trials": 5_000, "max_n": 4, "max_m": 8}
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -346,6 +349,9 @@ def _cmd_consistency(args) -> int:
 
 def _cmd_scan(args) -> int:
     rule = rule_from_name(args.rule)
+    for name, cap in MAX_SCAN_BOUNDS.items():
+        if getattr(args, name) > cap:
+            raise ValueError(f"scan accepts {name} of at most {cap}, got {getattr(args, name)}")
     report = scan(
         rule,
         args.property,

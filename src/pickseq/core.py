@@ -8,9 +8,9 @@ Each value is converted once, where it enters, by one helper that keeps a
 Fraction as it is and raises ``TypeError`` on a float at every entry point.
 
 Internally the hot paths compare integers instead.  ``integer_weights``
-scales the weight vector by the lcm of its denominators, and
-``integer_utilities`` scales each agent's utility row by the lcm of that
-row's denominators.  A per-agent scale is sound wherever an inequality
+scales the weight vector by the lcm of its denominators, and an
+``Instance``'s ``scaled_utilities`` scale each agent's utility row by the
+lcm of that row's denominators.  A per-agent scale is sound wherever an inequality
 weighs one agent's values against that same agent's values; witnesses are
 divided back into the same Fractions.  An ``Instance`` computes its integer
 view (``scaled_weights``, ``scaled_utilities`` and the ``preference_orders``
@@ -32,8 +32,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/-?\d+)?$")
 
@@ -143,8 +141,14 @@ class Instance:
 
     @cached_property
     def scaled_utilities(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The per-agent scales and integer rows of ``integer_utilities``,
-        computed on first use."""
+        """Per-agent scales s_i and integer rows s_i * u_i, computed on
+        first use.
+
+        s_i is the lcm of the denominators of agent i's row: the smallest
+        positive integer that makes the row integral, 1 for an integer row.
+        Comparisons between sums of one agent's utilities keep their order
+        under the scale; comparisons across agents do not.
+        """
         scales, rows = [], []
         for row in self.utilities:
             scale = math.lcm(*(u.denominator for u in row))
@@ -260,18 +264,6 @@ def integer_weights(weights: Iterable) -> tuple[int, ...]:
         raise ValueError("weights must be strictly positive")
     scale = math.lcm(*(w.denominator for w in weights))
     return tuple(w.numerator * (scale // w.denominator) for w in weights)
-
-
-def integer_utilities(instance: Instance) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Per-agent scales s_i and integer rows s_i * u_i.
-
-    s_i is the lcm of the denominators of agent i's row: the smallest
-    positive integer that makes the row integral.  Rows that are already
-    integers keep s_i = 1.  Comparisons between sums of one agent's
-    utilities keep their order under the scale; comparisons across agents
-    do not.  Computed once per instance and kept on it.
-    """
-    return instance.scaled_utilities
 
 
 def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:

@@ -6,7 +6,7 @@ items are all worth zero still picks (the lowest-indexed one), so every
 sequence of length m consumes all m items.
 
 Each agent compares only her own values, so the picks are made on her
-integer-scaled row (``core.integer_utilities``): every agent takes the
+integer-scaled row (``Instance.scaled_utilities``): every agent takes the
 first item not yet taken in her ``Instance.preference_orders`` entry, her
 items by (value descending, index ascending), which the instance sorts once
 and keeps.

@@ -25,7 +25,6 @@ from .core import (
     Instance,
     PickingSequence,
     _as_rational,
-    integer_utilities,
     integer_weights,
     turns_of,
 )
@@ -77,14 +76,14 @@ def check_allocation(
     enumeration is needed.
 
     Every inequality weighs agent i's values against agent i's values, so
-    it is decided in integers: on the rows of ``integer_utilities`` (agent
+    it is decided in integers: on the rows of ``scaled_utilities`` (agent
     i's scaled by s_i) and the instance's ``scaled_weights``, through one
     n x n table value[i][j] of agent i's scaled value for bundle j.  The
     witness divides back by s_i and the weights.
     """
     _check_notion(notion)
     allocation.validate_for(instance)
-    scales, rows = integer_utilities(instance)
+    scales, rows = instance.scaled_utilities
     weights = instance.scaled_weights
     bundles = [sorted(b) for b in allocation.bundles]
     value = [[sum(row[g] for g in b) for b in bundles] for row in rows]
@@ -261,6 +260,8 @@ def check_quota_bounds(
     turns = turns_of(sequence)
     scaled = integer_weights(weights)
     n, total, m = len(scaled), sum(scaled), len(turns)
+    if any(not 0 <= a < n for a in turns):
+        raise ValueError("sequence references an agent with no weight")
 
     prefixes = range(1, m + 1) if mode == "every-prefix" else (m,)
     counts = [0] * n

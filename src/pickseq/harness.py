@@ -14,6 +14,7 @@ without running any utilities through them.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,9 @@ from .fairness import FairnessVerdict, check_allocation, check_sequence, zero_on
 from .methods import Rule
 
 MONOTONICITY_KINDS = ("resource", "population", "weight")
+
+# Largest weight and utility that `random_instance` and `scan` draw.
+MAX_DRAW = 10
 
 
 def sequence_for_rule(rule: Rule, n: int, m: int, weights: Sequence) -> PickingSequence:
@@ -64,16 +68,26 @@ class MonotonicityReport:
     boosted_agent: int | None = None
 
 
+def _compare(
+    kind: str, rule: Rule, base: Instance, modified: Instance, tracked, worse,
+    boosted_agent: int | None = None,
+) -> MonotonicityReport:
+    """Run the rule on both instances; a tracked agent whose utility after
+    the perturbation is ``worse`` than before is a violator."""
+    before = allocation_utilities(base, apply_rule(rule, base))
+    after = allocation_utilities(modified, apply_rule(rule, modified))[: base.n]
+    violators = tuple(i for i in tracked if worse(after[i], before[i]))
+    return MonotonicityReport(
+        kind, rule.name, before, after, bool(violators), violators, boosted_agent
+    )
+
+
 def compare_resource(
     rule: Rule, base: Instance, extra_item_utilities: Sequence
 ) -> MonotonicityReport:
     """Run the rule with and without one appended item."""
     modified = base.add_item(extra_item_utilities)
-    before = allocation_utilities(base, apply_rule(rule, base))
-    after_all = allocation_utilities(modified, apply_rule(rule, modified))
-    after = after_all[: base.n]
-    violators = tuple(i for i in range(base.n) if after[i] < before[i])
-    return MonotonicityReport("resource", rule.name, before, after, bool(violators), violators)
+    return _compare("resource", rule, base, modified, range(base.n), operator.lt)
 
 
 def compare_population(
@@ -81,10 +95,7 @@ def compare_population(
 ) -> MonotonicityReport:
     """Run the rule with and without one appended agent; track incumbents."""
     modified = base.add_agent(new_weight, new_utilities)
-    before = allocation_utilities(base, apply_rule(rule, base))
-    after = allocation_utilities(modified, apply_rule(rule, modified))[: base.n]
-    violators = tuple(i for i in range(base.n) if after[i] > before[i])
-    return MonotonicityReport("population", rule.name, before, after, bool(violators), violators)
+    return _compare("population", rule, base, modified, range(base.n), operator.gt)
 
 
 def compare_weight(rule: Rule, base: Instance, agent: int, new_weight) -> MonotonicityReport:
@@ -95,13 +106,7 @@ def compare_weight(rule: Rule, base: Instance, agent: int, new_weight) -> Monoto
     if new_weight <= base.weights[agent]:
         raise ValueError("weight-monotonicity perturbations must increase the weight")
     modified = base.replace_weight(agent, new_weight)
-    before = allocation_utilities(base, apply_rule(rule, base))
-    after = allocation_utilities(modified, apply_rule(rule, modified))
-    violated = after[agent] < before[agent]
-    violators = (agent,) if violated else ()
-    return MonotonicityReport(
-        "weight", rule.name, before, after, violated, violators, boosted_agent=agent
-    )
+    return _compare("weight", rule, base, modified, (agent,), operator.lt, boosted_agent=agent)
 
 
 # --- consistency ------------------------------------------------------------
@@ -199,8 +204,6 @@ def random_instance(
     max_n: int,
     max_m: int,
     min_n: int = 1,
-    max_util: int = 10,
-    max_weight: int = 10,
     n: int | None = None,
 ) -> Instance:
     """Small random instance with integer weights and utilities.
@@ -211,15 +214,15 @@ def random_instance(
     if n is None:
         n = rng.randint(min_n, max_n)
     m = rng.randint(1, max_m)
-    weights = tuple(Fraction(rng.randint(1, max_weight)) for _ in range(n))
+    weights = random_weights(rng, n)
     utilities = tuple(
-        tuple(Fraction(rng.randint(0, max_util)) for _ in range(m)) for _ in range(n)
+        tuple(Fraction(rng.randint(0, MAX_DRAW)) for _ in range(m)) for _ in range(n)
     )
     return Instance(weights, utilities)
 
 
-def random_weights(rng: random.Random, n: int, max_weight: int = 10) -> tuple[Fraction, ...]:
-    return tuple(Fraction(rng.randint(1, max_weight)) for _ in range(n))
+def random_weights(rng: random.Random, n: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(rng.randint(1, MAX_DRAW)) for _ in range(n))
 
 
 def scan(
@@ -229,8 +232,6 @@ def scan(
     max_m: int = 8,
     trials: int = 2000,
     seed: int = 0,
-    max_util: int = 10,
-    max_weight: int = 10,
 ) -> ScanReport | None:
     """Search seeded random instances for a violation of the property.
 
@@ -257,7 +258,7 @@ def scan(
         if is_fairness and rule.is_sequence_based:
             n = rng.randint(min_n, max_n)
             m = rng.randint(1, max_m)
-            weights = random_weights(rng, n, max_weight)
+            weights = random_weights(rng, n)
             seq = sequence_for_rule(rule, n, m, weights)
             verdict = check_sequence(property, seq, weights)
             if not verdict.holds:
@@ -268,10 +269,7 @@ def scan(
                 )
             continue
 
-        base = random_instance(
-            rng, max_n, max_m, min_n=min_n, max_util=max_util,
-            max_weight=max_weight, n=fixed_n,
-        )
+        base = random_instance(rng, max_n, max_m, min_n=min_n, n=fixed_n)
         if is_fairness:
             verdict = check_allocation(property, base, apply_rule(rule, base))
             if not verdict.holds:
@@ -282,17 +280,17 @@ def scan(
             continue
 
         if property == "resource":
-            column = [Fraction(rng.randint(0, max_util)) for _ in range(base.n)]
+            column = [Fraction(rng.randint(0, MAX_DRAW)) for _ in range(base.n)]
             report = compare_resource(rule, base, column)
             perturbation = {"kind": "resource", "utilities": column}
         elif property == "population":
-            new_weight = Fraction(rng.randint(1, max_weight))
-            row = [Fraction(rng.randint(0, max_util)) for _ in range(base.m)]
+            new_weight = Fraction(rng.randint(1, MAX_DRAW))
+            row = [Fraction(rng.randint(0, MAX_DRAW)) for _ in range(base.m)]
             report = compare_population(rule, base, new_weight, row)
             perturbation = {"kind": "population", "weight": new_weight, "utilities": row}
         else:
             agent = rng.randrange(base.n)
-            new_weight = base.weights[agent] + rng.randint(1, max_weight)
+            new_weight = base.weights[agent] + rng.randint(1, MAX_DRAW)
             report = compare_weight(rule, base, agent, new_weight)
             perturbation = {"kind": "weight", "agent": agent, "weight": new_weight}
         if report.violated:

@@ -2,7 +2,7 @@
 
 The objective is the weighted product of bundle utilities.  Rational
 weights are scaled to a common-denominator integer exponent vector e, and
-the solver works on the integer utility rows of ``core.integer_utilities``,
+the solver works on the integer rows of ``Instance.scaled_utilities``,
 agent i's scaled by s_i.  Within one support S that scale multiplies every
 product by the same constant, the product of s_i^e_i over S, so two
 allocations with equal supports compare through exact big-integer products
@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .core import Allocation, Instance, allocation_utilities, integer_utilities
+from .core import Allocation, Instance, allocation_utilities
 
 DEFAULT_BUDGET = 4_000_000
 # One multiplication of two 10^6-bit integers takes about 0.1 s (CPython
@@ -133,7 +133,7 @@ def solve(
             "reduce the instance or raise the budget"
         )
     exponents = weight_exponents(instance.weights)
-    _, rows = integer_utilities(instance)
+    _, rows = instance.scaled_utilities
     bits = sum(e * sum(row).bit_length() for e, row in zip(exponents, rows))
     if bits > MAX_PRODUCT_BITS:
         raise BudgetExceededError(

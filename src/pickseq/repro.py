@@ -5,6 +5,8 @@ summary matrix) to exact expected values: sequences, bundles, utilities,
 verdicts.  Running a case recomputes everything through the public modules
 and diffs against the frozen expectation, so any behavioral drift in the
 generators, the executor, the solver, or the verifiers shows up here.
+A monotonicity case is one harness comparison; the sequences or bundles it
+shows come from the rule-generic ``sequence_for_rule`` and ``apply_rule``.
 
 The matrix certifies each cell one way: a negative cell with a stored
 counterexample replays it (``REFUTED``), and every other cell is one seeded
@@ -19,14 +21,15 @@ from fractions import Fraction
 from typing import Callable
 
 from .core import Instance, format_rational
-from .executor import execute
 from .fairness import check_allocation, check_sequence
 from .harness import (
+    apply_rule,
     check_weight_consistency_pair,
     compare_population,
     compare_resource,
     compare_weight,
     scan,
+    sequence_for_rule,
 )
 from .methods import (
     TRADITIONAL,
@@ -37,11 +40,12 @@ from .methods import (
     quota_sequence,
     rule_from_name,
 )
-from .mwnw import solve
 
 # Fixed seed for every randomized certification in this module.
 SCAN_SEED = 914
 SCAN_TRIALS = 5000
+
+QUOTA, MWNW = Rule("quota"), Rule("mwnw")
 
 # Five items, three agents; raising agent 1's weight flips the picking
 # order from (1,2,1,3,1) to (1,1,2,3,1) and costs her 6 utility.
@@ -104,12 +108,40 @@ class NamedCase:
         return CaseResult(self.id, actual == self.expected, self.expected, actual)
 
 
-def _seq1(sequence) -> list[int]:
-    return [a + 1 for a in sequence]
+# Each monotonicity kind: the harness comparison and the perturbation it runs.
+_PERTURBATIONS = {
+    "resource": (compare_resource, Instance.add_item),
+    "population": (compare_population, Instance.add_agent),
+    "weight": (compare_weight, Instance.replace_weight),
+}
+
+# What a case may show of the rule's run on each instance, 1-indexed.
+_SHOW = {
+    "sequence": lambda rule, inst: [
+        a + 1 for a in sequence_for_rule(rule, inst.n, inst.m, inst.weights).turns
+    ],
+    "bundles": lambda rule, inst: [sorted(g + 1 for g in b) for b in apply_rule(rule, inst).bundles],
+}
 
 
-def _bundles1(allocation) -> list[list[int]]:
-    return [sorted(g + 1 for g in b) for b in allocation.bundles]
+def _monotonicity_case(
+    rule: Rule, base: Instance, kind: str, *args, show=None, agent: int = 0, label="utility"
+) -> dict:
+    """Run the harness comparison of ``kind`` once, perturbing ``base`` by
+    ``args``: the tracked agent's utility before and after, the verdict,
+    and with ``show`` the rule's sequences or bundles on both instances."""
+    compare, perturb = _PERTURBATIONS[kind]
+    report = compare(rule, base, *args)
+    after = "boosted" if kind == "weight" else "modified"
+    out = {
+        f"{label}_base": format_rational(report.before[agent]),
+        f"{label}_{after}": format_rational(report.after[agent]),
+        "violated": report.violated,
+    }
+    if show is not None:
+        out[f"{show}_base"] = _SHOW[show](rule, base)
+        out[f"{show}_{after}"] = _SHOW[show](rule, perturb(base, *args))
+    return out
 
 
 def _weightmon_instance(extended: bool, weights) -> Instance:
@@ -118,31 +150,16 @@ def _weightmon_instance(extended: bool, weights) -> Instance:
 
 
 def _run_weightmon_divisor(method: str) -> dict:
-    f = TRADITIONAL[method]
     weights, boosted_w1, extended = WEIGHTMON_WEIGHTS[method]
     base = _weightmon_instance(extended, weights)
-    m = base.m
-    seq_base = divisor_sequence(f, 3, m, weights)
-    seq_boost = divisor_sequence(f, 3, m, (boosted_w1,) + weights[1:])
-    report = compare_weight(divisor_rule(f), base, 0, boosted_w1)
-    core_from = m - 5  # utility restricted to the five flip items
-    alloc_base = execute(base, seq_base)
-    alloc_boost = execute(base.replace_weight(0, boosted_w1), seq_boost)
-    core_base = sum(
-        (base.utilities[0][g] for g in alloc_base.bundles[0] if g >= core_from), Fraction(0)
-    )
-    core_boost = sum(
-        (base.utilities[0][g] for g in alloc_boost.bundles[0] if g >= core_from), Fraction(0)
-    )
-    return {
-        "sequence_base": _seq1(seq_base),
-        "sequence_boosted": _seq1(seq_boost),
-        "utility_base": format_rational(report.before[0]),
-        "utility_boosted": format_rational(report.after[0]),
-        "core_utility_base": format_rational(core_base),
-        "core_utility_boosted": format_rational(core_boost),
-        "violated": report.violated,
-    }
+    rule = divisor_rule(TRADITIONAL[method])
+    out = _monotonicity_case(rule, base, "weight", 0, boosted_w1, show="sequence")
+    # agent 1's utility restricted to the five flip items
+    for suffix, inst in (("base", base), ("boosted", base.replace_weight(0, boosted_w1))):
+        bundle = apply_rule(rule, inst).bundles[0]
+        core = sum(base.utilities[0][g] for g in bundle if g >= base.m - 5)
+        out[f"core_utility_{suffix}"] = format_rational(core)
+    return out
 
 
 def _weightmon_expected(method: str) -> dict:
@@ -161,18 +178,8 @@ def _weightmon_expected(method: str) -> dict:
 
 
 def _run_quota_weightmon() -> dict:
-    weights = QUOTA_FLIP_WEIGHTS
-    base = _weightmon_instance(False, weights)
-    seq_base = quota_sequence(3, 5, weights)
-    seq_boost = quota_sequence(3, 5, (Fraction(11, 18),) + weights[1:])
-    report = compare_weight(Rule("quota"), base, 0, Fraction(11, 18))
-    return {
-        "sequence_base": _seq1(seq_base),
-        "sequence_boosted": _seq1(seq_boost),
-        "utility_base": format_rational(report.before[0]),
-        "utility_boosted": format_rational(report.after[0]),
-        "violated": report.violated,
-    }
+    base = _weightmon_instance(False, QUOTA_FLIP_WEIGHTS)
+    return _monotonicity_case(QUOTA, base, "weight", 0, Fraction(11, 18), show="sequence")
 
 
 def _run_quota_popmon() -> dict:
@@ -180,92 +187,52 @@ def _run_quota_popmon() -> dict:
         (Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)),
         ((2, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
     )
-    seq_base = quota_sequence(4, 3, base.weights)
-    modified = base.add_agent(Fraction(1, 3), (0, 0, 1))
-    seq_mod = quota_sequence(5, 3, modified.weights)
-    report = compare_population(Rule("quota"), base, Fraction(1, 3), (0, 0, 1))
-    return {
-        "sequence_base": _seq1(seq_base),
-        "sequence_modified": _seq1(seq_mod),
-        "utility_base": format_rational(report.before[0]),
-        "utility_modified": format_rational(report.after[0]),
-        "violated": report.violated,
-    }
-
-
-def _mnw_resmon_base() -> Instance:
-    return Instance((1, 1), ((3, 2, 2), (2, 2, 1)))
+    return _monotonicity_case(QUOTA, base, "population", Fraction(1, 3), (0, 0, 1), show="sequence")
 
 
 def _run_mnw_resmon() -> dict:
-    base = _mnw_resmon_base()
-    report = compare_resource(Rule("mwnw"), base, (2, 1))
-    return {
-        "bundles_base": _bundles1(solve(base)),
-        "bundles_modified": _bundles1(solve(base.add_item((2, 1)))),
-        "utility_base": format_rational(report.before[0]),
-        "utility_modified": format_rational(report.after[0]),
-        "violated": report.violated,
-    }
-
-
-def _mnw_popmon_base() -> Instance:
-    return Instance((1, 1), ((2, 3, 3, 2), (1, 2, 1, 3)))
+    base = Instance((1, 1), ((3, 2, 2), (2, 2, 1)))
+    return _monotonicity_case(MWNW, base, "resource", (2, 1), show="bundles")
 
 
 def _run_mnw_popmon() -> dict:
-    base = _mnw_popmon_base()
-    report = compare_population(Rule("mwnw"), base, 1, (2, 1, 1, 3))
+    base = Instance((1, 1), ((2, 3, 3, 2), (1, 2, 1, 3)))
+    return _monotonicity_case(MWNW, base, "population", 1, (2, 1, 1, 3), show="bundles")
+
+
+def _mwnw_fairness_case(weights, utilities, *notions: str) -> dict:
+    """The MWNW allocation's bundle sizes, whether it satisfies each notion,
+    and the first notion's witness."""
+    inst = Instance(weights, utilities)
+    alloc = apply_rule(MWNW, inst)
+    verdicts = [check_allocation(notion, inst, alloc) for notion in notions]
+    witness = verdicts[0].witness
     return {
-        "bundles_base": _bundles1(solve(base)),
-        "bundles_modified": _bundles1(solve(base.add_agent(1, (2, 1, 1, 3)))),
-        "utility_base": format_rational(report.before[0]),
-        "utility_modified": format_rational(report.after[0]),
-        "violated": report.violated,
+        "bundle_sizes": [len(b) for b in alloc.bundles],
+        **{f"{notion}_holds": v.holds for notion, v in zip(notions, verdicts)},
+        "lhs": format_rational(witness.lhs) if witness else None,
+        "rhs": format_rational(witness.rhs) if witness else None,
     }
 
 
 def _run_mwnw_wprop1() -> dict:
     # a heavy agent with uniform utilities: positive welfare forces one
     # item per agent, far below the heavy agent's proportional share
-    inst = Instance(
-        (Fraction(8, 10), Fraction(1, 10), Fraction(1, 10)),
-        ((1, 1, 1), (1, 1, 1), (1, 1, 1)),
-    )
-    alloc = solve(inst)
-    verdict = check_allocation("wprop1", inst, alloc)
-    return {
-        "bundle_sizes": [len(b) for b in alloc.bundles],
-        "wprop1_holds": verdict.holds,
-        "lhs": format_rational(verdict.witness.lhs) if verdict.witness else None,
-        "rhs": format_rational(verdict.witness.rhs) if verdict.witness else None,
-    }
+    weights = (Fraction(8, 10), Fraction(1, 10), Fraction(1, 10))
+    return _mwnw_fairness_case(weights, ((1, 1, 1),) * 3, "wprop1")
 
 
 def _run_mwnw_wef1() -> dict:
     # identical items, weight ratio 4: the welfare-maximal split is 1 vs 6,
     # which the lighter agent envies by more than one item
-    inst = Instance((1, 4), ((1,) * 7, (1,) * 7))
-    alloc = solve(inst)
-    wef1 = check_allocation("wef1", inst, alloc)
-    wwef1 = check_allocation("wwef1", inst, alloc)
-    return {
-        "bundle_sizes": [len(b) for b in alloc.bundles],
-        "wef1_holds": wef1.holds,
-        "wwef1_holds": wwef1.holds,
-        "lhs": format_rational(wef1.witness.lhs) if wef1.witness else None,
-        "rhs": format_rational(wef1.witness.rhs) if wef1.witness else None,
-    }
+    return _mwnw_fairness_case((1, 4), ((1,) * 7,) * 2, "wef1", "wwef1")
 
 
 def _run_ecycle_resmon() -> dict:
     base = Instance((1, 1, 1), ((10, 5, 1), (6, 1, 2), (0, 4, 1)))
-    report = compare_resource(Rule("envy_cycle"), base, (11, 1, 0))
-    return {
-        "agent3_utility_base": format_rational(report.before[2]),
-        "agent3_utility_modified": format_rational(report.after[2]),
-        "violated": report.violated,
-    }
+    return _monotonicity_case(
+        Rule("envy_cycle"), base, "resource", (11, 1, 0), agent=2, label="agent3_utility"
+    )
 
 
 def _run_aw_resmon() -> dict:
@@ -277,12 +244,9 @@ def _run_aw_resmon() -> dict:
             (Fraction(3, 2) * (1 - eps), 4 * eps, 3),
         ),
     )
-    report = compare_resource(Rule("adjusted_winner"), base, (eps, eps))
-    return {
-        "agent1_utility_base": format_rational(report.before[0]),
-        "agent1_utility_modified": format_rational(report.after[0]),
-        "violated": report.violated,
-    }
+    return _monotonicity_case(
+        Rule("adjusted_winner"), base, "resource", (eps, eps), label="agent1_utility"
+    )
 
 
 def _run_quota_weight_consistency() -> dict:
@@ -292,19 +256,14 @@ def _run_quota_weight_consistency() -> dict:
         (0, 0, 2, 0, 0, 0, 1),
     ) + ((0, 0, 0, 0, 0, 1, 0),) * 6
     weights = (Fraction(8, 24), Fraction(7, 24), Fraction(3, 24)) + (Fraction(1, 24),) * 6
-    base = Instance(weights, utilities)
-    boosted = Fraction(9, 24)
-    seq_base = quota_sequence(9, 7, weights)
-    seq_boost = quota_sequence(9, 7, (boosted,) + weights[1:])
-    report = compare_weight(Rule("quota"), base, 0, boosted)
-    return {
-        "sequence_base": _seq1(seq_base),
-        "sequence_boosted": _seq1(seq_boost),
-        "weight_consistent_pair": check_weight_consistency_pair(seq_base, seq_boost, 0),
-        "utility_base": format_rational(report.before[0]),
-        "utility_boosted": format_rational(report.after[0]),
-        "violated": report.violated,
-    }
+    out = _monotonicity_case(
+        QUOTA, Instance(weights, utilities), "weight", 0, Fraction(9, 24), show="sequence"
+    )
+    # the predicate is structural, so the 1-indexed sequences name agent 1 as 1
+    out["weight_consistent_pair"] = check_weight_consistency_pair(
+        out["sequence_base"], out["sequence_boosted"], 1
+    )
+    return out
 
 
 # --- summary matrix ----------------------------------------------------------
@@ -387,150 +346,147 @@ def _run_table_matrix() -> dict:
     return cells
 
 
-def catalog() -> tuple[NamedCase, ...]:
-    cases = []
-    for method in ("adams", "jefferson", "webster", "hill", "dean"):
-        cases.append(
-            NamedCase(
-                id=f"p42-weightmon-{method}",
-                description=(
-                    f"{method}: raising the largest weight flips the picking order "
-                    "and drops that agent's utility by 6"
-                ),
-                expected=_weightmon_expected(method),
-                runner=(lambda m=method: _run_weightmon_divisor(m)),
-            )
+_CATALOG = (
+    *(
+        NamedCase(
+            f"p42-weightmon-{method}",
+            f"{method}: raising the largest weight flips the picking order "
+            "and drops that agent's utility by 6",
+            _weightmon_expected(method),
+            lambda m=method: _run_weightmon_divisor(m),
         )
-    cases.extend(
-        [
-            NamedCase(
-                "p52-quota-popmon",
-                "quota: an arriving agent raises an incumbent's utility 2 to 3",
-                {
-                    "sequence_base": [1, 2, 1],
-                    "sequence_modified": [1, 5, 1],
-                    "utility_base": "2",
-                    "utility_modified": "3",
-                    "violated": True,
-                },
-                _run_quota_popmon,
-            ),
-            NamedCase(
-                "p52-quota-weightmon",
-                "quota: raising the largest weight drops that agent's utility 25 to 19",
-                {
-                    "sequence_base": [1, 2, 1, 3, 1],
-                    "sequence_boosted": [1, 1, 2, 3, 1],
-                    "utility_base": "25",
-                    "utility_boosted": "19",
-                    "violated": True,
-                },
-                _run_quota_weightmon,
-            ),
-            NamedCase(
-                "p61-mnw-resmon",
-                "unweighted max Nash welfare: an extra item drops an agent 5 to 4",
-                {
-                    "bundles_base": [[1, 3], [2]],
-                    "bundles_modified": [[3, 4], [1, 2]],
-                    "utility_base": "5",
-                    "utility_modified": "4",
-                    "violated": True,
-                },
-                _run_mnw_resmon,
-            ),
-            NamedCase(
-                "p61-mnw-popmon",
-                "unweighted max Nash welfare: an arriving agent raises an incumbent 5 to 6",
-                {
-                    "bundles_base": [[1, 3], [2, 4]],
-                    "bundles_modified": [[2, 3], [4], [1]],
-                    "utility_base": "5",
-                    "utility_modified": "6",
-                    "violated": True,
-                },
-                _run_mnw_popmon,
-            ),
-            NamedCase(
-                "p63-mwnw-wprop1",
-                "weighted max Nash welfare: uniform utilities force one item each, "
-                "failing the heavy agent's proportional share",
-                {
-                    "bundle_sizes": [1, 1, 1],
-                    "wprop1_holds": False,
-                    "lhs": "1",
-                    "rhs": "7/5",
-                },
-                _run_mwnw_wprop1,
-            ),
-            NamedCase(
-                "pa1-ecycle-resmon",
-                "envy-cycle elimination: an extra item drops an agent 4 to 0",
-                {
-                    "agent3_utility_base": "4",
-                    "agent3_utility_modified": "0",
-                    "violated": True,
-                },
-                _run_ecycle_resmon,
-            ),
-            NamedCase(
-                "pa2-aw-resmon",
-                "adjusted winner: an extra item drops an agent 11/10 to 1",
-                {
-                    "agent1_utility_base": "11/10",
-                    "agent1_utility_modified": "1",
-                    "violated": True,
-                },
-                _run_aw_resmon,
-            ),
-            NamedCase(
-                "pb1-quota-weightconsistency",
-                "quota: the boosted sequence is unreachable by move-earlier edits "
-                "and costs the boosted agent 6 to 5",
-                {
-                    "sequence_base": [1, 2, 3, 1, 2, 4, 1],
-                    "sequence_boosted": [1, 2, 1, 2, 3, 1, 4],
-                    "weight_consistent_pair": False,
-                    "utility_base": "6",
-                    "utility_boosted": "5",
-                    "violated": True,
-                },
-                _run_quota_weight_consistency,
-            ),
-            NamedCase(
-                "mwnw-wef1",
-                "weighted max Nash welfare: identical items at weight ratio 4 "
-                "leave the light agent envious beyond one item",
-                {
-                    "bundle_sizes": [1, 6],
-                    "wef1_holds": False,
-                    "wwef1_holds": True,
-                    "lhs": "1",
-                    "rhs": "5/4",
-                },
-                _run_mwnw_wef1,
-            ),
-            NamedCase(
-                "table1-matrix",
-                "the full rule-by-property summary: positives by randomized "
-                "suites, negatives by stored or scan-found counterexamples",
-                TABLE_EXPECTED,
-                _run_table_matrix,
-            ),
-        ]
-    )
-    return tuple(cases)
+        for method in WEIGHTMON_WEIGHTS
+    ),
+    NamedCase(
+        "p52-quota-popmon",
+        "quota: an arriving agent raises an incumbent's utility 2 to 3",
+        {
+            "sequence_base": [1, 2, 1],
+            "sequence_modified": [1, 5, 1],
+            "utility_base": "2",
+            "utility_modified": "3",
+            "violated": True,
+        },
+        _run_quota_popmon,
+    ),
+    NamedCase(
+        "p52-quota-weightmon",
+        "quota: raising the largest weight drops that agent's utility 25 to 19",
+        {
+            "sequence_base": [1, 2, 1, 3, 1],
+            "sequence_boosted": [1, 1, 2, 3, 1],
+            "utility_base": "25",
+            "utility_boosted": "19",
+            "violated": True,
+        },
+        _run_quota_weightmon,
+    ),
+    NamedCase(
+        "p61-mnw-resmon",
+        "unweighted max Nash welfare: an extra item drops an agent 5 to 4",
+        {
+            "bundles_base": [[1, 3], [2]],
+            "bundles_modified": [[3, 4], [1, 2]],
+            "utility_base": "5",
+            "utility_modified": "4",
+            "violated": True,
+        },
+        _run_mnw_resmon,
+    ),
+    NamedCase(
+        "p61-mnw-popmon",
+        "unweighted max Nash welfare: an arriving agent raises an incumbent 5 to 6",
+        {
+            "bundles_base": [[1, 3], [2, 4]],
+            "bundles_modified": [[2, 3], [4], [1]],
+            "utility_base": "5",
+            "utility_modified": "6",
+            "violated": True,
+        },
+        _run_mnw_popmon,
+    ),
+    NamedCase(
+        "p63-mwnw-wprop1",
+        "weighted max Nash welfare: uniform utilities force one item each, "
+        "failing the heavy agent's proportional share",
+        {
+            "bundle_sizes": [1, 1, 1],
+            "wprop1_holds": False,
+            "lhs": "1",
+            "rhs": "7/5",
+        },
+        _run_mwnw_wprop1,
+    ),
+    NamedCase(
+        "pa1-ecycle-resmon",
+        "envy-cycle elimination: an extra item drops an agent 4 to 0",
+        {
+            "agent3_utility_base": "4",
+            "agent3_utility_modified": "0",
+            "violated": True,
+        },
+        _run_ecycle_resmon,
+    ),
+    NamedCase(
+        "pa2-aw-resmon",
+        "adjusted winner: an extra item drops an agent 11/10 to 1",
+        {
+            "agent1_utility_base": "11/10",
+            "agent1_utility_modified": "1",
+            "violated": True,
+        },
+        _run_aw_resmon,
+    ),
+    NamedCase(
+        "pb1-quota-weightconsistency",
+        "quota: the boosted sequence is unreachable by move-earlier edits "
+        "and costs the boosted agent 6 to 5",
+        {
+            "sequence_base": [1, 2, 3, 1, 2, 4, 1],
+            "sequence_boosted": [1, 2, 1, 2, 3, 1, 4],
+            "weight_consistent_pair": False,
+            "utility_base": "6",
+            "utility_boosted": "5",
+            "violated": True,
+        },
+        _run_quota_weight_consistency,
+    ),
+    NamedCase(
+        "mwnw-wef1",
+        "weighted max Nash welfare: identical items at weight ratio 4 "
+        "leave the light agent envious beyond one item",
+        {
+            "bundle_sizes": [1, 6],
+            "wef1_holds": False,
+            "wwef1_holds": True,
+            "lhs": "1",
+            "rhs": "5/4",
+        },
+        _run_mwnw_wef1,
+    ),
+    NamedCase(
+        "table1-matrix",
+        "the full rule-by-property summary: positives by randomized "
+        "suites, negatives by stored or scan-found counterexamples",
+        TABLE_EXPECTED,
+        _run_table_matrix,
+    ),
+)
+_BY_ID = {entry.id: entry for entry in _CATALOG}
+
+
+def catalog() -> tuple[NamedCase, ...]:
+    return _CATALOG
 
 
 def case(case_id: str) -> NamedCase:
-    for entry in catalog():
-        if entry.id == case_id:
-            return entry
-    raise ValueError(f"unknown case id {case_id!r}")
+    if case_id not in _BY_ID:
+        raise ValueError(f"unknown case id {case_id!r}")
+    return _BY_ID[case_id]
 
 
 def run_case(case_id: str) -> CaseResult:
     return case(case_id).run()
 
 
-COUNTEREXAMPLE_IDS = tuple(c.id for c in catalog() if c.id != "table1-matrix")
+COUNTEREXAMPLE_IDS = tuple(c.id for c in _CATALOG if c.id != "table1-matrix")

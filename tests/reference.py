@@ -5,9 +5,10 @@ table replaced, the per-kind score comparison, the O(n) argmin per turn, and
 the O(n^2) Fraction scan per prefix that the library replaced with order
 keys, a heap and incremental integer checks; and the Fraction forms of
 truthful picking, the allocation verifiers, the envy graph and the MWNW
-search that the library replaced with integer-scaled utility rows.  The
-differential tests require the library to agree with them exactly,
-witnesses included.
+search that the library replaced with integer-scaled utility rows; and the
+three separate bodies of the monotonicity comparisons that the harness
+merged into one.  The differential tests require the library to agree with
+them exactly, witnesses and reports included.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from pickseq.core import Allocation, Instance, PickingSequence, bundle_utility
+from pickseq.core import (
+    Allocation, Instance, PickingSequence, _as_rational, allocation_utilities, bundle_utility,
+)
 from pickseq.fairness import FairnessVerdict, Witness
-from pickseq.methods import DivisorFunction, PrecisionError
+from pickseq.harness import MonotonicityReport, apply_rule
+from pickseq.methods import DivisorFunction, PrecisionError, Rule
 from pickseq.mwnw import WelfareScore, weight_exponents
 
 
@@ -337,3 +341,36 @@ def mwnw_solve(instance: Instance, prune: bool = True) -> Allocation:
     for j, a in enumerate(best_assign):
         bundles[a].add(j)
     return Allocation(tuple(frozenset(b) for b in bundles))
+
+
+def compare_resource(rule: Rule, base: Instance, extra_item_utilities) -> MonotonicityReport:
+    modified = base.add_item(extra_item_utilities)
+    before = allocation_utilities(base, apply_rule(rule, base))
+    after_all = allocation_utilities(modified, apply_rule(rule, modified))
+    after = after_all[: base.n]
+    violators = tuple(i for i in range(base.n) if after[i] < before[i])
+    return MonotonicityReport("resource", rule.name, before, after, bool(violators), violators)
+
+
+def compare_population(rule: Rule, base: Instance, new_weight, new_utilities) -> MonotonicityReport:
+    modified = base.add_agent(new_weight, new_utilities)
+    before = allocation_utilities(base, apply_rule(rule, base))
+    after = allocation_utilities(modified, apply_rule(rule, modified))[: base.n]
+    violators = tuple(i for i in range(base.n) if after[i] > before[i])
+    return MonotonicityReport("population", rule.name, before, after, bool(violators), violators)
+
+
+def compare_weight(rule: Rule, base: Instance, agent: int, new_weight) -> MonotonicityReport:
+    new_weight = _as_rational(new_weight)
+    if not 0 <= agent < base.n:
+        raise ValueError(f"agent index {agent} out of range")
+    if new_weight <= base.weights[agent]:
+        raise ValueError("weight-monotonicity perturbations must increase the weight")
+    modified = base.replace_weight(agent, new_weight)
+    before = allocation_utilities(base, apply_rule(rule, base))
+    after = allocation_utilities(modified, apply_rule(rule, modified))
+    violated = after[agent] < before[agent]
+    violators = (agent,) if violated else ()
+    return MonotonicityReport(
+        "weight", rule.name, before, after, violated, violators, boosted_agent=agent
+    )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pickseq.cli import MAX_AGENTS, MAX_TURNS, main
+from pickseq.cli import MAX_AGENTS, MAX_SCAN_BOUNDS, MAX_TURNS, main
 
 
 def run_cli(capsys, *argv):
@@ -351,6 +351,36 @@ def test_scan_adjusted_winner_agent_count_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, "scan", "--rule", "aw", *argv)
     assert code == 2 and out == ""
     assert "rule aw runs on exactly 2 agents" in err
+
+
+def test_quota_fairness_agent_with_no_weight_exit_two(capsys):
+    code, out, err = run_cli(capsys, "fairness", "--notion", "quota", "--sequence", "[1,5]",
+                             "--weights", "1,1")
+    assert code == 2 and out == ""
+    assert "sequence references an agent with no weight" in err
+
+
+@pytest.mark.parametrize("name, value", [("trials", 100_000_000), ("max_n", 5), ("max_m", 9)])
+def test_scan_above_its_bounds_exits_two_quickly(name, value):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pickseq", "scan", "--rule", "adams",
+                           "--property", "wef1", "--" + name.replace("_", "-"), str(value)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2 and done.stdout == ""
+    cap = MAX_SCAN_BOUNDS[name]
+    assert f"scan accepts {name} of at most {cap}, got {value}" in done.stderr
+    assert value > cap and elapsed < 1.0
+
+
+def test_scan_at_its_bounds_runs(capsys):
+    bounds = [f"--{name.replace('_', '-')}={cap}" for name, cap in MAX_SCAN_BOUNDS.items()]
+    code, out, _ = run_cli(capsys, "scan", "--rule", "webster", "--property", "wef1", *bounds,
+                           "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["found"] is True
+    assert (payload["trials"], payload["max_n"], payload["max_m"]) == tuple(MAX_SCAN_BOUNDS.values())
 
 
 def test_mwnw_huge_exponents_exit_two_quickly():

@@ -13,7 +13,6 @@ from pickseq.core import (
     ParseError,
     bundle_utility,
     format_rational,
-    integer_utilities,
     integer_weights,
     parse_allocation,
     parse_instance,
@@ -79,14 +78,14 @@ def test_bundle_utility_index_errors():
         bundle_utility(inst, 0, {5})
 
 
-def test_integer_utilities_keeps_integer_rows():
-    scales, rows = integer_utilities(Instance((1, 2, 3), FLIP_TABLE))
+def test_scaled_utilities_keeps_integer_rows():
+    scales, rows = Instance((1, 2, 3), FLIP_TABLE).scaled_utilities
     assert scales == (1, 1, 1)
     assert rows == FLIP_TABLE
     assert all(type(u) is int for row in rows for u in row)
 
 
-def test_integer_utilities_smallest_integer_multiple():
+def test_scaled_utilities_smallest_integer_multiple():
     inst = Instance(
         (1, 1, 1),
         (
@@ -95,7 +94,7 @@ def test_integer_utilities_smallest_integer_multiple():
             (Fraction(3, 4), 1, Fraction(1, 4), Fraction(1, 4)),
         ),
     )
-    scales, rows = integer_utilities(inst)
+    scales, rows = inst.scaled_utilities
     assert scales == (6, 9, 4)
     assert rows == ((3, 2, 5, 12), (6, 12, 0, 2), (3, 4, 1, 1))
     for scale, row, original in zip(scales, rows, inst.utilities):
@@ -104,11 +103,11 @@ def test_integer_utilities_smallest_integer_multiple():
         assert all(any((u * k).denominator != 1 for u in original) for k in range(1, scale))
 
 
-def test_integer_utilities_zero_row_and_no_items():
-    scales, rows = integer_utilities(Instance((1, 2), ((0, 0, 0), (Fraction(1, 5), 0, 1))))
+def test_scaled_utilities_zero_row_and_no_items():
+    scales, rows = Instance((1, 2), ((0, 0, 0), (Fraction(1, 5), 0, 1))).scaled_utilities
     assert scales == (1, 5)
     assert rows == ((0, 0, 0), (1, 0, 5))
-    assert integer_utilities(Instance((1, Fraction(1, 2)), ((), ()))) == ((1, 1), ((), ()))
+    assert Instance((1, Fraction(1, 2)), ((), ())).scaled_utilities == ((1, 1), ((), ()))
 
 
 def fresh_view(inst: Instance):
@@ -137,8 +136,8 @@ def mixed_instance() -> Instance:
 
 def test_integer_view_is_memoized_and_matches_fresh_computation():
     inst = mixed_instance()
-    view = integer_utilities(inst)
-    assert integer_utilities(inst) is view
+    view = inst.scaled_utilities
+    assert inst.scaled_utilities is view
     assert inst.scaled_weights is inst.scaled_weights
     assert (inst.scaled_weights, view) == fresh_view(inst)
     assert fresh_view(inst) == ((9, 24, 10), ((2, 9, 1), ((1, 6, 0), (9, 6, 7), (0, 0, 0))))
@@ -149,7 +148,7 @@ def test_integer_view_is_memoized_and_matches_fresh_computation():
 def test_filled_integer_view_leaves_equality_hash_repr_and_pickle_unchanged():
     cold, warm = mixed_instance(), mixed_instance()
     before = (repr(warm), hash(warm), pickle.dumps(warm), copy.copy(warm), copy.deepcopy(warm))
-    integer_utilities(warm)
+    warm.scaled_utilities
     warm.scaled_weights, warm.preference_orders
     assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
     assert (repr(warm), hash(warm), pickle.dumps(warm), copy.copy(warm), copy.deepcopy(warm)) == before
@@ -157,25 +156,25 @@ def test_filled_integer_view_leaves_equality_hash_repr_and_pickle_unchanged():
     for clone in (pickle.loads(pickle.dumps(warm)), copy.copy(warm), copy.deepcopy(warm)):
         assert clone == warm and "scaled_utilities" not in vars(clone)
         assert "preference_orders" not in vars(clone)
-        assert (clone.scaled_weights, integer_utilities(clone)) == fresh_view(warm)
+        assert (clone.scaled_weights, clone.scaled_utilities) == fresh_view(warm)
         assert clone.preference_orders == fresh_orders(warm)
 
 
 def test_derived_instances_get_their_own_integer_view():
     inst = mixed_instance()
     # fill the parent's view before deriving
-    integer_utilities(inst), inst.scaled_weights, inst.preference_orders
+    inst.scaled_utilities, inst.scaled_weights, inst.preference_orders
     derived = [
         inst.replace_weight(1, Fraction(7, 10)),
         inst.add_item((Fraction(1, 5), 4, Fraction(3, 8))),
         inst.add_agent(Fraction(1, 7), (Fraction(5, 11), 0, 2)),
     ]
     for other in derived:
-        assert (other.scaled_weights, integer_utilities(other)) == fresh_view(other)
+        assert (other.scaled_weights, other.scaled_utilities) == fresh_view(other)
         assert other.preference_orders == fresh_orders(other)
     assert derived[0].scaled_weights == (45, 42, 50)
     assert derived[1].preference_orders[0] == (1, 0, 3, 2)
-    assert (inst.scaled_weights, integer_utilities(inst)) == fresh_view(inst)
+    assert (inst.scaled_weights, inst.scaled_utilities) == fresh_view(inst)
     assert inst.preference_orders == fresh_orders(inst)
 
 

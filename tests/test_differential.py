@@ -1,21 +1,23 @@
-"""The order-key generators, the incremental integer verifiers and the
-integer-scaled allocation layer against the direct reference forms in
-``reference.py``, on seeded draws.
+"""The order-key generators, the incremental integer verifiers, the
+integer-scaled allocation layer and the merged monotonicity comparison
+against the direct reference forms in ``reference.py``, on seeded draws.
 
-Sequences and allocations must be equal, and verdicts equal as whole
-values: holds, and the witness's lhs, rhs, agent, against, prefix, removed
-set and t.
+Sequences and allocations must be equal, verdicts equal as whole values
+(holds, and the witness's lhs, rhs, agent, against, prefix, removed set
+and t), and monotonicity reports equal field for field.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import reference
+from pickseq import harness
 from pickseq.baselines import _envy_edges
-from pickseq.core import Allocation, Instance, allocation_utilities, bundle_utility, integer_utilities
+from pickseq.core import Allocation, Instance, allocation_utilities, bundle_utility
 from pickseq.executor import execute
 from pickseq.fairness import (
     check_allocation,
@@ -24,10 +26,13 @@ from pickseq.fairness import (
     divisor_wwef1_condition,
 )
 from pickseq.methods import (
+    RULE_KINDS,
     TRADITIONAL,
     PrecisionError,
+    Rule,
     compare_scores,
     custom,
+    divisor_rule,
     divisor_sequence,
     power_mean,
     quota_sequence,
@@ -150,23 +155,23 @@ def test_evaluation_failures_match_reference():
             impl(strict, 3, 3, (1, 2, 3))
 
 
+def draw_values(rng, count):
+    """One item column or agent row: all zeros, or integer or p/q values
+    with zero entries common."""
+    if rng.random() < 0.15:
+        return (0,) * count
+    rational = rng.random() < 0.5
+    return tuple(
+        0 if rng.random() < 0.3 else Fraction(rng.randint(1, 9), rng.randint(1, 9) if rational else 1)
+        for _ in range(count)
+    )
+
+
 def draw_instance(rng, max_n, max_m):
     """Integer or p/q weights and utilities, with all-zero rows and zero
     entries common, so that many optima have a support smaller than n."""
     n, m = rng.randint(1, max_n), rng.randint(0, max_m)
-    weights = draw_weights(rng, n)
-    rows = []
-    for _ in range(n):
-        if rng.random() < 0.15:
-            rows.append((0,) * m)
-            continue
-        rational = rng.random() < 0.5
-        rows.append(tuple(
-            0 if rng.random() < 0.3
-            else Fraction(rng.randint(1, 9), rng.randint(1, 9) if rational else 1)
-            for _ in range(m)
-        ))
-    return Instance(weights, tuple(rows))
+    return Instance(draw_weights(rng, n), tuple(draw_values(rng, m) for _ in range(n)))
 
 
 def random_allocation(rng, n, m):
@@ -222,7 +227,7 @@ def test_execute_and_envy_edges_match_reference():
         turns = [rng.randrange(inst.n) for _ in range(inst.m)]
         assert execute(inst, turns) == reference.execute(inst, turns), (inst, turns)
         bundles = [set(b) for b in random_allocation(rng, inst.n, inst.m).bundles]
-        _, rows = integer_utilities(inst)
+        _, rows = inst.scaled_utilities
         assert _envy_edges(rows, bundles) == reference.envy_edges(inst, bundles), (inst, bundles)
 
 
@@ -250,3 +255,61 @@ def test_sequences_and_comparisons_match_reference_at_benchmark_scale(f):
             assert compare_scores(f, t_a, w_a, t_b, w_b) == reference.compare_scores(
                 f, t_a, w_a, t_b, w_b
             ), (t_a, w_a, t_b, w_b)
+
+
+COMPARED_RULES = [divisor_rule(f) for f in TRADITIONAL.values()] + [
+    Rule(kind) for kind in RULE_KINDS if kind != "divisor"
+]
+
+FLIP_TABLE = ((10, 9, 8, 7, 0), (7, 10, 8, 9, 0), (0, 7, 10, 8, 9))
+
+# Stored violations of each kind, since random draws seldom violate: the
+# Webster and quota weight flips, quota and MWNW population, MWNW and
+# envy-cycle resource.
+STORED_COMPARISONS = [
+    (divisor_rule(TRADITIONAL["webster"]), Instance((Fraction(33, 10), Fraction(6, 5), 1), FLIP_TABLE),
+     "weight", (0, 4)),
+    (Rule("quota"), Instance((Fraction(9, 18), Fraction(5, 18), Fraction(4, 18)), FLIP_TABLE),
+     "weight", (0, Fraction(11, 18))),
+    (Rule("quota"), Instance((Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)),
+                             ((2, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0))),
+     "population", (Fraction(1, 3), (0, 0, 1))),
+    (Rule("mwnw"), Instance((1, 1), ((2, 3, 3, 2), (1, 2, 1, 3))), "population", (1, (2, 1, 1, 3))),
+    (Rule("mwnw"), Instance((1, 1), ((3, 2, 2), (2, 2, 1))), "resource", ((2, 1),)),
+    (Rule("envy_cycle"), Instance((1, 1, 1), ((10, 5, 1), (6, 1, 2), (0, 4, 1))),
+     "resource", ((11, 1, 0),)),
+]
+
+
+def draw_comparison(rng, rule):
+    """A base instance of up to 3 agents and 5 items, a monotonicity kind
+    the rule admits, and that kind's perturbation arguments."""
+    fixed_n = rule.spec.agents
+    base = draw_instance(rng, 3, 5)
+    while fixed_n is not None and base.n != fixed_n:
+        base = draw_instance(rng, 3, 5)
+    # a rule on a fixed number of agents admits no arriving agent
+    kind = rng.choice(("resource", "weight") if fixed_n else harness.MONOTONICITY_KINDS)
+    if kind == "resource":
+        return base, kind, (draw_values(rng, base.n),)
+    if kind == "population":
+        return base, kind, (draw_weights(rng, 1)[0], draw_values(rng, base.m))
+    agent = rng.randrange(base.n)
+    return base, kind, (agent, base.weights[agent] + draw_weights(rng, 1)[0])
+
+
+def test_merged_comparison_matches_reference_bodies():
+    rng = random.Random(5111)
+    drawn = [
+        (rule, *draw_comparison(rng, rule)) for _ in range(75) for rule in COMPARED_RULES
+    ]
+    covered, violated = Counter(), Counter()
+    for rule, base, kind, args in STORED_COMPARISONS + drawn:
+        got = getattr(harness, f"compare_{kind}")(rule, base, *args)
+        expected = getattr(reference, f"compare_{kind}")(rule, base, *args)
+        assert got == expected and repr(got) == repr(expected), (rule, kind, base, args)
+        covered[rule.kind, kind] += 1
+        violated[kind] += got.violated
+    # every rule kind under every perturbation it admits, and violations of each
+    assert len(covered) == 3 * len(RULE_KINDS) - 1
+    assert all(violated[kind] >= 2 for kind in harness.MONOTONICITY_KINDS), violated

@@ -211,6 +211,17 @@ def test_lower_quota_floor_violation():
     assert verdict.witness.agent == 1
 
 
+@pytest.mark.parametrize("mode", ["full", "every-prefix"])
+@pytest.mark.parametrize("turns", [[0, 4], [-1, 0]])
+def test_quota_bounds_reject_an_agent_with_no_weight(turns, mode):
+    # the same refusal as check_sequence, not an IndexError or a count
+    # silently moved to the last agent
+    for check in (lambda: check_quota_bounds(turns, (1, 1), mode=mode),
+                  lambda: check_sequence("wef1", turns, (1, 1))):
+        with pytest.raises(ValueError, match="sequence references an agent with no weight"):
+            check()
+
+
 def test_every_prefix_lower_quota_implies_wprop1():
     rng = random.Random(90)
     tested = 0
