@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Allocation, Instance, PickingSequence
+from .core import Allocation, Instance, PickingSequence, bundle_reader
 
 
 def round_robin_sequence(n: int, m: int) -> PickingSequence:
@@ -28,9 +28,10 @@ def _envy_edges(rows: tuple[tuple[int, ...], ...], bundles: list[set[int]]) -> l
     each edge compares one agent's values only, so the scale keeps it.
     """
     n = len(rows)
+    readers = [bundle_reader(bundle) for bundle in bundles]
     edges = []
     for i, row in enumerate(rows):
-        values = [sum(row[g] for g in bundle) for bundle in bundles]
+        values = [sum(read(row)) for read in readers]
         edges.append([j != i and values[j] > values[i] for j in range(n)])
     return edges
 

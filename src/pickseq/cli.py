@@ -58,6 +58,10 @@ MAX_AGENTS = 1_000
 # Upper bounds on `scan`'s --trials, --max-n and --max-m: the slowest scan
 # they admit, MWNW weight monotonicity, finds nothing in 24-31 s.
 MAX_SCAN_BOUNDS = {"trials": 5_000, "max_n": 4, "max_m": 8}
+# Upper bound on --budget for `mwnw` and `allocate`: the n^m assignments
+# that `mwnw.solve` may search.  The README's "Input bounds" gives the
+# slowest solve it admits.
+MAX_BUDGET = DEFAULT_BUDGET
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -81,6 +85,13 @@ def turn_count(text: str) -> int:
     if turns > MAX_TURNS:
         raise argparse.ArgumentTypeError(f"at most {MAX_TURNS} turns are supported, got {turns}")
     return turns
+
+
+def budget(text: str) -> int:
+    value = int(text)
+    if value > MAX_BUDGET:
+        raise argparse.ArgumentTypeError(f"at most {MAX_BUDGET} assignments are supported, got {value}")
+    return value
 
 
 def _load_text_or_file(arg: str) -> str:
@@ -446,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="run a rule on an instance file")
     p.add_argument("--method", required=True)
     p.add_argument("--instance", required=True, help="instance file or inline JSON")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_allocate)
 
@@ -464,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mwnw", help="exact maximum weighted Nash welfare")
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mwnw)
 

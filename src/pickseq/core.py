@@ -30,8 +30,8 @@ import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/-?\d+)?$")
 
@@ -86,6 +86,23 @@ def _as_rational(value: object) -> Fraction:
     return Fraction(value)
 
 
+class _view:
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on each first use, about a microsecond per view of every fresh
+    instance.  A view is a pure function of the fields, so threads that
+    race to compute it store equal values.
+    """
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Instance:
     """Agents with positive weights and an additive utility matrix.
@@ -134,12 +151,12 @@ class Instance:
     def m(self) -> int:
         return len(self.utilities[0]) if self.utilities else 0
 
-    @cached_property
+    @_view
     def scaled_weights(self) -> tuple[int, ...]:
         """``integer_weights(self.weights)``, computed on first use."""
         return integer_weights(self.weights)
 
-    @cached_property
+    @_view
     def scaled_utilities(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """Per-agent scales s_i and integer rows s_i * u_i, computed on
         first use.
@@ -156,7 +173,7 @@ class Instance:
             rows.append(tuple(u.numerator * (scale // u.denominator) for u in row))
         return tuple(scales), tuple(rows)
 
-    @cached_property
+    @_view
     def preference_orders(self) -> tuple[tuple[int, ...], ...]:
         """Each agent's items by value descending, ties to the lower index,
         computed on first use: the order truthful picking takes them in."""
@@ -258,8 +275,15 @@ def turns_of(sequence: PickingSequence | Iterable[int]) -> tuple[int, ...]:
 def integer_weights(weights: Iterable) -> tuple[int, ...]:
     """Positive rational weights scaled by the lcm of their denominators:
     integers in the same ratios, so weight comparisons become integer
-    cross-multiplication."""
-    weights = tuple(_as_rational(w) for w in weights)
+    cross-multiplication.  A tuple of ints (``Instance.scaled_weights``,
+    say) is its own scaling and is returned as it is."""
+    # the first weight's type turns a Fraction vector away without a scan
+    if (type(weights) is tuple and weights and type(weights[0]) is int
+            and all(type(w) is int for w in weights)):
+        if min(weights) <= 0:
+            raise ValueError("weights must be strictly positive")
+        return weights
+    weights = tuple(map(_as_rational, weights))
     if any(w.numerator <= 0 for w in weights):
         raise ValueError("weights must be strictly positive")
     scale = math.lcm(*(w.denominator for w in weights))
@@ -279,12 +303,25 @@ def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fra
     return total
 
 
+def bundle_reader(bundle: Collection[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``read(row)`` is the tuple of the row's values on the bundle's items
+    (in the bundle's order), read by one C-level ``operator.itemgetter``
+    call.  Every sum of a scaled row over a bundle is ``sum(read(row))``.
+    """
+    # itemgetter of no item raises, and of one item returns it bare
+    if len(bundle) > 1:
+        return itemgetter(*bundle)
+    for g in bundle:
+        return itemgetter(slice(g, g + 1))
+    return itemgetter(slice(0))
+
+
 def allocation_utilities(instance: Instance, allocation: Allocation) -> tuple[Fraction, ...]:
     """Each agent's exact utility for her own bundle."""
     allocation.validate_for(instance)
     scales, rows = instance.scaled_utilities
     return tuple(
-        Fraction(sum(row[g] for g in bundle), scale)
+        Fraction(sum(bundle_reader(bundle)(row)), scale)
         for scale, row, bundle in zip(scales, rows, allocation.bundles)
     )
 

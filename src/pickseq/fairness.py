@@ -25,6 +25,7 @@ from .core import (
     Instance,
     PickingSequence,
     _as_rational,
+    bundle_reader,
     integer_weights,
     turns_of,
 )
@@ -77,25 +78,27 @@ def check_allocation(
 
     Every inequality weighs agent i's values against agent i's values, so
     it is decided in integers: on the rows of ``scaled_utilities`` (agent
-    i's scaled by s_i) and the instance's ``scaled_weights``, through one
-    n x n table value[i][j] of agent i's scaled value for bundle j.  The
-    witness divides back by s_i and the weights.
+    i's scaled by s_i) and the instance's ``scaled_weights``.  Each row's
+    values on each bundle are read by one ``core.bundle_reader`` call; the
+    most valued item of bundle j is looked for only when i envies j
+    outright, and its index only for the witness.  WPROP1's best item
+    outside agent i's bundle is the first of her ``preference_orders`` not
+    in it.  The witness divides back by s_i and the weights.
     """
     _check_notion(notion)
     allocation.validate_for(instance)
     scales, rows = instance.scaled_utilities
     weights = instance.scaled_weights
-    bundles = [sorted(b) for b in allocation.bundles]
-    value = [[sum(row[g] for g in b) for b in bundles] for row in rows]
+    bundles = allocation.bundles
+    readers = [bundle_reader(b) for b in bundles]
 
     if notion == "wprop1":
         total_weight = sum(weights)
-        for i, row in enumerate(rows):
-            own, everything = value[i][i], sum(value[i])
-            mine = allocation.bundles[i]
-            best_outside = max((u for g, u in enumerate(row) if g not in mine), default=0)
+        for i, (row, order) in enumerate(zip(rows, instance.preference_orders)):
+            own, mine = sum(readers[i](row)), bundles[i]
+            best_outside = next((row[g] for g in order if g not in mine), 0)
             # own < w_i/W * everything - best_outside, times s_i * W
-            rhs = weights[i] * everything - best_outside * total_weight
+            rhs = weights[i] * sum(row) - best_outside * total_weight
             if own * total_weight < rhs:
                 return FairnessVerdict(
                     notion,
@@ -109,15 +112,15 @@ def check_allocation(
         return FairnessVerdict(notion, True)
 
     for i, row in enumerate(rows):
-        own, w_i = value[i][i], weights[i]
-        for j, bundle_j in enumerate(bundles):
-            if i == j:
+        parts = [read(row) for read in readers]
+        value = list(map(sum, parts))
+        own, w_i = value[i], weights[i]
+        for j, their in enumerate(value):
+            w_j = weights[j]
+            # no envy at all (always so for j == i and for an empty bundle j)
+            if own * w_j >= their * w_i:
                 continue
-            their, w_j = value[i][j], weights[j]
-            # the item of bundle j agent i values most, ties to the lowest index
-            best = max(bundle_j, key=row.__getitem__, default=None)
-            removed = frozenset() if best is None else frozenset({best})
-            drop = 0 if best is None else row[best]
+            drop = max(parts[j])
             # own/w_i >= (their - drop)/w_j, times s_i and the weights' scale
             if own * w_j >= (their - drop) * w_i:
                 continue
@@ -127,6 +130,8 @@ def check_allocation(
                 if (own + drop) * w_j >= their * w_i:
                     continue
                 lhs_num, rhs_num = own + drop, their
+            # the item of bundle j agent i values most, ties to the lowest index
+            best = max(sorted(bundles[j]), key=row.__getitem__)
             return FairnessVerdict(
                 notion,
                 False,
@@ -135,10 +140,37 @@ def check_allocation(
                     rhs=Fraction(rhs_num, scales[i]) / instance.weights[j],
                     agent=i,
                     against=j,
-                    removed=removed,
+                    removed=frozenset({best}),
                 ),
             )
     return FairnessVerdict(notion, True)
+
+
+def _first_due_prefix(
+    turns: Sequence[int], scaled: Sequence[int], strict: bool, upper: bool = False
+) -> tuple[int, list[int]] | None:
+    """The first prefix length k at which some agent is due, with the pick
+    counts there, or None when no agent ever is.
+
+    Agent i holding t_i picks is due at the least k with
+    k*w_i > (t_i+1)*sum(w), or k*w_i >= (t_i+1)*sum(w) when not ``strict``.
+    That deadline moves only when agent i picks, and only later, so each
+    prefix costs one update, and a ``min`` only once k reaches the soonest
+    deadline last seen.  With ``upper``, the agent j who just picked is also
+    due once (t_j-1)*sum(w) >= k*w_j.
+    """
+    total, shift = sum(scaled), 0 if strict else 1
+    counts = [0] * len(scaled)
+    deadline = [(total - shift) // w + 1 for w in scaled]
+    soonest = 0  # a lower bound on every deadline
+    for k, j in enumerate(turns, start=1):
+        t = counts[j] = counts[j] + 1
+        deadline[j] = ((t + 1) * total - shift) // scaled[j] + 1
+        if k >= soonest:
+            soonest = min(deadline)
+        if k >= soonest or upper and (t - 1) * total >= k * scaled[j]:
+            return k, counts
+    return None
 
 
 def check_sequence(
@@ -153,8 +185,10 @@ def check_sequence(
     wprop1:  every prefix of length k, every agent:  t_i >= k*w_i/sum(w) - 1.
 
     The witness is the lowest failing prefix, then lowest i, then lowest j.
-    Each prefix costs O(n) integer cross-multiplications: a pick by j can
-    newly fail only the envy pairs (i, j), since it raises t_j alone.
+    For wef1 and wwef1 each prefix costs O(n) integer cross-multiplications:
+    a pick by j can newly fail only the envy pairs (i, j).  For wprop1 the
+    agents are scanned only at the first prefix that reaches a deadline,
+    floor((t_i+1)*sum(w)/w_i) + 1 for agent i holding t_i picks.
     """
     _check_notion(notion)
     turns = turns_of(sequence)
@@ -163,17 +197,21 @@ def check_sequence(
     if any(not 0 <= a < n for a in turns):
         raise ValueError("sequence references an agent with no weight")
 
-    counts = [0] * n
-    for k, j in enumerate(turns, start=1):
-        counts[j] += 1
-        if notion == "wprop1":
+    if notion == "wprop1":
+        found = _first_due_prefix(turns, scaled, strict=True)
+        if found is not None:
+            k, counts = found
             for i in range(n):
                 if (counts[i] + 1) * total < k * scaled[i]:
                     rhs = Fraction(k * scaled[i], total) - 1
                     return FairnessVerdict(
                         notion, False, Witness(lhs=Fraction(counts[i]), rhs=rhs, agent=i, prefix=k)
                     )
-            continue
+        return FairnessVerdict(notion, True)
+
+    counts = [0] * n
+    for k, j in enumerate(turns, start=1):
+        counts[j] += 1
         t_j, w_j = counts[j], scaled[j]
         if t_j < 2:
             continue
@@ -252,6 +290,12 @@ def check_quota_bounds(
     bound='lower' tests t_i >= floor(w_i*m / sum(w)); bound='both' adds
     t_i <= ceil(w_i*m / sum(w)).  mode='every-prefix' applies the test to
     all prefixes, mode='full' only to the whole sequence.
+
+    The witness is the lowest failing prefix, then the lowest agent, the
+    lower bound before the upper.  Every prefix is checked without a scan
+    of the agents: agent i holding t_i picks first breaks the lower bound at
+    prefix ceil((t_i+1)*sum(w)/w_i), and only the agent j who just picked
+    can newly break the upper one, when (t_j-1)*sum(w) >= k*w_j.
     """
     if mode not in ("full", "every-prefix"):
         raise ValueError("mode must be 'full' or 'every-prefix'")
@@ -263,29 +307,31 @@ def check_quota_bounds(
     if any(not 0 <= a < n for a in turns):
         raise ValueError("sequence references an agent with no weight")
 
-    prefixes = range(1, m + 1) if mode == "every-prefix" else (m,)
-    counts = [0] * n
-    done = 0
-    for k in prefixes:
-        while done < k:
-            counts[turns[done]] += 1
-            done += 1
-        for i in range(n):
-            floor_q, remainder = divmod(k * scaled[i], total)
-            if counts[i] < floor_q:
+    if mode == "full":
+        k, counts = m, [0] * n
+        for a in turns:
+            counts[a] += 1
+    else:
+        found = _first_due_prefix(turns, scaled, strict=False, upper=bound == "both")
+        if found is None:
+            return FairnessVerdict("quota", True)
+        k, counts = found
+    for i in range(n):
+        floor_q, remainder = divmod(k * scaled[i], total)
+        if counts[i] < floor_q:
+            return FairnessVerdict(
+                "quota",
+                False,
+                Witness(lhs=Fraction(counts[i]), rhs=Fraction(floor_q), agent=i, prefix=k),
+            )
+        if bound == "both":
+            ceil_q = floor_q + (remainder > 0)
+            if counts[i] > ceil_q:
                 return FairnessVerdict(
                     "quota",
                     False,
-                    Witness(lhs=Fraction(counts[i]), rhs=Fraction(floor_q), agent=i, prefix=k),
+                    Witness(lhs=Fraction(ceil_q), rhs=Fraction(counts[i]), agent=i, prefix=k),
                 )
-            if bound == "both":
-                ceil_q = floor_q + (remainder > 0)
-                if counts[i] > ceil_q:
-                    return FairnessVerdict(
-                        "quota",
-                        False,
-                        Witness(lhs=Fraction(ceil_q), rhs=Fraction(counts[i]), agent=i, prefix=k),
-                    )
     return FairnessVerdict("quota", True)
 
 

@@ -44,7 +44,7 @@ def sequence_for_rule(rule: Rule, n: int, m: int, weights: Sequence) -> PickingS
 def apply_rule(rule: Rule, instance: Instance, budget: int = mwnw.DEFAULT_BUDGET) -> Allocation:
     """Run any rule on an instance and return its allocation."""
     if rule.is_sequence_based:
-        seq = sequence_for_rule(rule, instance.n, instance.m, instance.weights)
+        seq = sequence_for_rule(rule, instance.n, instance.m, instance.scaled_weights)
         return execute(instance, seq)
     return rule.spec.allocate(instance, budget)
 

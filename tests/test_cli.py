@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pickseq.cli import MAX_AGENTS, MAX_SCAN_BOUNDS, MAX_TURNS, main
+from pickseq.cli import MAX_AGENTS, MAX_BUDGET, MAX_SCAN_BOUNDS, MAX_TURNS, main
 
 
 def run_cli(capsys, *argv):
@@ -360,14 +360,19 @@ def test_quota_fairness_agent_with_no_weight_exit_two(capsys):
     assert "sequence references an agent with no weight" in err
 
 
-@pytest.mark.parametrize("name, value", [("trials", 100_000_000), ("max_n", 5), ("max_m", 9)])
-def test_scan_above_its_bounds_exits_two_quickly(name, value):
+def run_module(*argv):
+    """``python -m pickseq`` in a fresh process: (completed process, wall seconds)."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "pickseq", "scan", "--rule", "adams",
-                           "--property", "wef1", "--" + name.replace("_", "-"), str(value)],
+    done = subprocess.run([sys.executable, "-m", "pickseq", *argv],
                           capture_output=True, text=True, env=env, timeout=30)
-    elapsed = time.perf_counter() - start
+    return done, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("name, value", [("trials", 100_000_000), ("max_n", 5), ("max_m", 9)])
+def test_scan_above_its_bounds_exits_two_quickly(name, value):
+    done, elapsed = run_module("scan", "--rule", "adams", "--property", "wef1",
+                               "--" + name.replace("_", "-"), str(value))
     assert done.returncode == 2 and done.stdout == ""
     cap = MAX_SCAN_BOUNDS[name]
     assert f"scan accepts {name} of at most {cap}, got {value}" in done.stderr
@@ -383,6 +388,29 @@ def test_scan_at_its_bounds_runs(capsys):
     assert (payload["trials"], payload["max_n"], payload["max_m"]) == tuple(MAX_SCAN_BOUNDS.values())
 
 
+@pytest.mark.parametrize("command", [["mwnw"], ["allocate", "--method", "mwnw"]])
+def test_budget_above_its_bound_exits_two_quickly(command):
+    # 5^16 assignments: with the budget lifted this search runs for minutes
+    instance = json.dumps({
+        "agents": [1, 2, 3, 4, 5],
+        "items": 16,
+        "utilities": [[(3 * i + 7 * g) % 11 for g in range(16)] for i in range(5)],
+    })
+    done, elapsed = run_module(*command, "--instance", instance, "--budget", str(10**12))
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"at most {MAX_BUDGET} assignments are supported, got {10**12}" in done.stderr
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", [["mwnw"], ["allocate", "--method", "mwnw"]])
+def test_budget_at_its_bound_is_accepted(command):
+    instance = json.dumps({"agents": [1, 2], "items": 3, "utilities": [[1, 2, 3], [3, 2, 1]]})
+    done, _ = run_module(*command, "--instance", instance, "--budget", str(MAX_BUDGET), "--json")
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["bundles"]
+    assert MAX_BUDGET == 4_000_000
+
+
 def test_mwnw_huge_exponents_exit_two_quickly():
     # weights 1/1000003 and 1/1000005 give exponents near 10^6: the solver
     # must refuse the instance before it forms a single product
@@ -391,11 +419,7 @@ def test_mwnw_huge_exponents_exit_two_quickly():
         "items": 6,
         "utilities": [[3, 1, 4, 1, 5, 9], [2, 6, 5, 3, 5, 8]],
     })
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "pickseq", "mwnw", "--json", "--instance", instance],
-                          capture_output=True, text=True, env=env, timeout=30)
-    elapsed = time.perf_counter() - start
+    done, elapsed = run_module("mwnw", "--json", "--instance", instance)
     assert done.returncode == 2 and done.stdout == ""
     assert "welfare products need up to" in done.stderr and "above the limit" in done.stderr
     assert elapsed < 1.0

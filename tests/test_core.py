@@ -224,6 +224,19 @@ def test_fractions_enter_as_they_are():
     assert integer_weights([w, Fraction(1, 2), 3]) == (3, 2, 12)
 
 
+def test_integer_weights_keep_an_int_tuple_as_it_is():
+    weights = (3, 5)
+    assert integer_weights(weights) is weights
+    for bad in ((0, 1), (3, -5)):
+        with pytest.raises(ValueError, match="strictly positive"):
+            integer_weights(bad)
+    with pytest.raises(TypeError, match="floats are banned"):
+        integer_weights((3, 0.5))
+    # bools and Fractions take the converting path
+    assert integer_weights((True, 2)) == (1, 2)
+    assert integer_weights((Fraction(4), Fraction(6))) == (4, 6)
+
+
 def test_instance_perturbation_helpers():
     inst = flip_instance()
     grown = inst.add_item((1, 2, 3))

@@ -313,3 +313,85 @@ def test_merged_comparison_matches_reference_bodies():
     # every rule kind under every perturbation it admits, and violations of each
     assert len(covered) == 3 * len(RULE_KINDS) - 1
     assert all(violated[kind] >= 2 for kind in harness.MONOTONICITY_KINDS), violated
+
+
+BENCH_N, BENCH_M = 10, 100
+
+
+def benchmark_scale_sequences(rng):
+    """(turns, weights) at 10 agents and 100 turns: each traditional divisor
+    sequence and the quota sequence on benchmark-scale weights, and each
+    again with one turn of its second half handed to another agent, so that
+    verdicts fail late."""
+    for rational in (False, True, False, True):
+        weights = benchmark_scale_weights(rng, BENCH_N, rational)
+        sequences = [divisor_sequence(f, BENCH_N, BENCH_M, weights).turns for f in TRADITIONAL.values()]
+        sequences.append(quota_sequence(BENCH_N, BENCH_M, weights).turns)
+        for turns in sequences:
+            yield turns, weights
+            swapped = list(turns)
+            k = rng.randrange(BENCH_M // 2, BENCH_M)
+            swapped[k] = rng.choice([a for a in range(BENCH_N) if a != turns[k]])
+            yield tuple(swapped), weights
+
+
+def test_prefix_verdicts_match_reference_at_benchmark_scale():
+    rng = random.Random(5112)
+    late, upper_first = 0, 0
+    for turns, weights in benchmark_scale_sequences(rng):
+        verdict = check_sequence("wprop1", turns, weights)
+        assert verdict == reference.check_sequence("wprop1", turns, weights), (turns, weights)
+        late += not verdict.holds and verdict.witness.prefix > BENCH_M // 2
+        quota = {}
+        for mode in ("full", "every-prefix"):
+            for bound in ("lower", "both"):
+                quota[mode, bound] = check_quota_bounds(turns, weights, mode=mode, bound=bound)
+                assert quota[mode, bound] == reference.check_quota_bounds(
+                    turns, weights, mode, bound
+                ), (mode, bound, turns, weights)
+        # the upper bound decides when adding it changes the verdict
+        upper_first += quota["every-prefix", "both"] != quota["every-prefix", "lower"]
+    assert late >= 5 and upper_first >= 5, (late, upper_first)
+
+
+@pytest.mark.parametrize(
+    "turns, weights",
+    [((0,) * BENCH_M, (7,)), ((0,) * 3, (Fraction(2, 3),)), ((), (1,)), ((), (3, Fraction(1, 2), 5))],
+)
+def test_prefix_verdicts_match_reference_on_one_agent_and_no_turns(turns, weights):
+    assert_verdicts_match(turns, weights)
+
+
+def benchmark_scale_instance(rng, weights):
+    """Utilities 0..100 at 10 agents and 100 items, some rows p/q and some
+    drawn from three values, so that the most valued item of a bundle ties."""
+    rows = []
+    for _ in range(BENCH_N):
+        pool = range(101) if rng.random() < 0.7 else (0, 50, 100)
+        den = rng.randint(2, 9) if rng.random() < 0.3 else 1
+        rows.append(tuple(Fraction(rng.choice(pool), den) for _ in range(BENCH_M)))
+    return Instance(weights, tuple(rows))
+
+
+def test_allocation_verdicts_match_reference_at_benchmark_scale():
+    rng = random.Random(5113)
+    failed, tied = Counter(), 0
+    for case in range(24):
+        inst = benchmark_scale_instance(rng, benchmark_scale_weights(rng, BENCH_N, case % 2 == 1))
+        # a partition among some of the agents, so that bundles are empty
+        holders = rng.sample(range(BENCH_N), rng.randint(1, BENCH_N))
+        owner = [rng.choice(holders) for _ in range(BENCH_M)]
+        partition = Allocation(tuple(
+            frozenset(g for g in range(BENCH_M) if owner[g] == i) for i in range(BENCH_N)
+        ))
+        f = rng.choice(list(TRADITIONAL.values()))
+        picked = execute(inst, divisor_sequence(f, BENCH_N, BENCH_M, inst.weights))
+        for allocation in (partition, picked):
+            for notion in NOTIONS:
+                got = check_allocation(notion, inst, allocation)
+                assert got == reference.check_allocation(notion, inst, allocation), (notion, inst, allocation)
+                failed[notion] += not got.holds
+                if not got.holds and got.witness.removed:
+                    row, (best,) = inst.utilities[got.witness.agent], got.witness.removed
+                    tied += sum(row[g] == row[best] for g in allocation.bundles[got.witness.against]) > 1
+    assert all(failed[notion] >= 5 for notion in NOTIONS) and tied >= 3, (failed, tied)
