@@ -23,26 +23,27 @@ from .core import (
     allocation_utilities,
     format_rational,
     instance_to_document,
+    load_json,
     parse_allocation,
     parse_instance,
     parse_rational,
     parse_sequence,
 )
 from .fairness import (
+    NOTIONS,
     FairnessVerdict,
     check_allocation,
     check_quota_bounds,
     check_sequence,
 )
 from .harness import (
+    MONOTONICITY_KINDS,
+    PERTURBATIONS,
     MonotonicityReport,
     apply_rule,
     check_population_consistency_pair,
     check_resource_consistency,
     check_weight_consistency_pair,
-    compare_population,
-    compare_resource,
-    compare_weight,
     scan,
     sequence_for_rule,
 )
@@ -264,39 +265,33 @@ def _cmd_mwnw(args) -> int:
     return 0
 
 
-def _load_perturbation(arg: str, prop: str, instance: Instance):
-    """The monotonicity comparison the perturbation document describes, as a
-    function of the rule."""
-    doc = json.loads(_load_text_or_file(arg))
+def _load_perturbation(arg: str, prop: str, instance: Instance) -> tuple:
+    """The arguments, in ``harness.PERTURBATIONS`` call order, of the
+    comparison that the perturbation document describes."""
+    doc = load_json(_load_text_or_file(arg), "perturb")
     if not isinstance(doc, dict):
         raise ParseError("perturb", "expected a JSON object")
     kind = doc.get("kind", prop)
     if kind != prop:
         raise ParseError("perturb.kind", f"perturbation kind {kind!r} does not match --property {prop!r}")
-    if prop == "resource":
-        utilities = doc.get("utilities")
-        if not isinstance(utilities, list) or len(utilities) != instance.n:
-            raise ParseError("perturb.utilities", f"need one utility per agent ({instance.n})")
-        column = [parse_rational(u, "perturb.utilities") for u in utilities]
-        return lambda rule: compare_resource(rule, instance, column)
-    if prop == "population":
-        utilities = doc.get("utilities")
-        if not isinstance(utilities, list) or len(utilities) != instance.m:
-            raise ParseError("perturb.utilities", f"need one utility per item ({instance.m})")
-        weight = parse_rational(doc.get("weight"), "perturb.weight")
-        row = [parse_rational(u, "perturb.utilities") for u in utilities]
-        return lambda rule: compare_population(rule, instance, weight, row)
-    agent = doc.get("agent")
-    if isinstance(agent, bool) or not isinstance(agent, int) or not 1 <= agent <= instance.n:
-        raise ParseError("perturb.agent", f"need a 1-indexed agent in 1..{instance.n}")
-    weight = parse_rational(doc.get("weight"), "perturb.weight")
-    return lambda rule: compare_weight(rule, instance, agent - 1, weight)
+    if prop == "weight":
+        agent = doc.get("agent")
+        if isinstance(agent, bool) or not isinstance(agent, int) or not 1 <= agent <= instance.n:
+            raise ParseError("perturb.agent", f"need a 1-indexed agent in 1..{instance.n}")
+        return agent - 1, parse_rational(doc.get("weight"), "perturb.weight")
+    count, per = (instance.n, "agent") if prop == "resource" else (instance.m, "item")
+    utilities = doc.get("utilities")
+    if not isinstance(utilities, list) or len(utilities) != count:
+        raise ParseError("perturb.utilities", f"need one utility per {per} ({count})")
+    weight = [] if prop == "resource" else [parse_rational(doc.get("weight"), "perturb.weight")]
+    return (*weight, [parse_rational(u, "perturb.utilities") for u in utilities])
 
 
 def _cmd_mono(args) -> int:
     instance = _load_instance(args.instance)
     rule = rule_from_name(args.rule)
-    report = _load_perturbation(args.perturb, args.property, instance)(rule)
+    values = _load_perturbation(args.perturb, args.property, instance)
+    report = PERTURBATIONS[args.property].compare(rule, instance, *values)
     _emit(_report_payload(report), args.json, _report_text(report))
     return 1 if report.violated else 0
 
@@ -462,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_allocate)
 
     p = sub.add_parser("fairness", help="verify a fairness notion")
-    p.add_argument("--notion", required=True, choices=["wef1", "wwef1", "wprop1", "quota"])
+    p.add_argument("--notion", required=True, choices=[*NOTIONS, "quota"])
     p.add_argument("--instance")
     p.add_argument("--allocation")
     p.add_argument("--sequence", help="sequence file, {\"turns\": [...]}, or inline [1,2,...]")
@@ -480,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mwnw)
 
     p = sub.add_parser("mono", help="compare a rule before and after a perturbation")
-    p.add_argument("--property", required=True, choices=["resource", "population", "weight"])
+    p.add_argument("--property", required=True, choices=MONOTONICITY_KINDS)
     p.add_argument("--rule", required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--perturb", required=True, help="perturbation file or inline JSON")
@@ -488,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mono)
 
     p = sub.add_parser("consistency", help="structural consistency of picking sequences")
-    p.add_argument("--kind", required=True, choices=["resource", "population", "weight"])
+    p.add_argument("--kind", required=True, choices=MONOTONICITY_KINDS)
     p.add_argument("--method")
     p.add_argument("--weights")
     p.add_argument("--turns", type=turn_count)
@@ -502,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="seeded randomized counterexample search")
     p.add_argument("--rule", required=True)
-    p.add_argument("--property", required=True,
-                   choices=["wef1", "wwef1", "wprop1", "resource", "population", "weight"])
+    p.add_argument("--property", required=True, choices=NOTIONS + MONOTONICITY_KINDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--max-n", type=int, default=3)

@@ -335,13 +335,18 @@ def allocation_utilities(instance: Instance, allocation: Allocation) -> tuple[Fr
 # Sequence file:   {"turns": [agent, ...]}           (1-indexed agents)
 
 
+def load_json(text: str, field: str):
+    """``json.loads``, with invalid JSON a ParseError naming the field."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(field, f"invalid JSON: {exc}") from None
+
+
 def _load_document(document: str | Mapping) -> Mapping:
     if isinstance(document, Mapping):
         return document
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError("document", f"invalid JSON: {exc}") from None
+    data = load_json(document, "document")
     if not isinstance(data, Mapping):
         raise ParseError("document", "top level must be a JSON object")
     return data
@@ -466,10 +471,7 @@ def parse_sequence(document: str | Mapping | list) -> PickingSequence:
     if isinstance(document, str):
         stripped = document.strip()
         if stripped.startswith("["):
-            try:
-                document = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise ParseError("turns", f"invalid JSON: {exc}") from None
+            document = load_json(stripped, "turns")
     if isinstance(document, list):
         turns = document
     else:

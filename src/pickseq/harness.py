@@ -18,17 +18,16 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import mwnw
 from .core import (
     Allocation, Instance, PickingSequence, _as_rational, allocation_utilities, turns_of,
 )
 from .executor import execute
-from .fairness import FairnessVerdict, check_allocation, check_sequence, zero_one_instance
+from .fairness import NOTIONS, FairnessVerdict, check_allocation, check_sequence, zero_one_instance
 from .methods import Rule
-
-MONOTONICITY_KINDS = ("resource", "population", "weight")
 
 # Largest weight and utility that `random_instance` and `scan` draw.
 MAX_DRAW = 10
@@ -107,6 +106,42 @@ def compare_weight(rule: Rule, base: Instance, agent: int, new_weight) -> Monoto
         raise ValueError("weight-monotonicity perturbations must increase the weight")
     modified = base.replace_weight(agent, new_weight)
     return _compare("weight", rule, base, modified, (agent,), operator.lt, boosted_agent=agent)
+
+
+class Perturbation(NamedTuple):
+    """One monotonicity kind: its comparison, the ``Instance`` method that
+    perturbs the base, that method's argument names in call order, and
+    ``scan``'s seeded draw of those arguments for a base instance."""
+
+    compare: Callable[..., MonotonicityReport]
+    perturb: Callable[..., Instance]
+    names: tuple[str, ...]
+    draw: Callable[[random.Random, Instance], tuple]
+
+
+def _draws(rng: random.Random, count: int) -> list[Fraction]:
+    return [Fraction(rng.randint(0, MAX_DRAW)) for _ in range(count)]
+
+
+def _draw_weight(rng: random.Random, base: Instance) -> tuple[int, Fraction]:
+    agent = rng.randrange(base.n)
+    return agent, base.weights[agent] + rng.randint(1, MAX_DRAW)
+
+
+PERTURBATIONS = {
+    "resource": Perturbation(
+        compare_resource, Instance.add_item, ("utilities",),
+        lambda rng, base: (_draws(rng, base.n),),
+    ),
+    "population": Perturbation(
+        compare_population, Instance.add_agent, ("weight", "utilities"),
+        lambda rng, base: (Fraction(rng.randint(1, MAX_DRAW)), _draws(rng, base.m)),
+    ),
+    "weight": Perturbation(
+        compare_weight, Instance.replace_weight, ("agent", "weight"), _draw_weight
+    ),
+}
+MONOTONICITY_KINDS = tuple(PERTURBATIONS)
 
 
 # --- consistency ------------------------------------------------------------
@@ -214,15 +249,13 @@ def random_instance(
     if n is None:
         n = rng.randint(min_n, max_n)
     m = rng.randint(1, max_m)
-    weights = random_weights(rng, n)
-    utilities = tuple(
-        tuple(Fraction(rng.randint(0, MAX_DRAW)) for _ in range(m)) for _ in range(n)
-    )
-    return Instance(weights, utilities)
+    return Instance(random_weights(rng, n), [_draws(rng, m) for _ in range(n)])
 
 
-def random_weights(rng: random.Random, n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(rng.randint(1, MAX_DRAW)) for _ in range(n))
+def random_weights(rng: random.Random, n: int) -> tuple[int, ...]:
+    """Integer weights: a tuple of ints is its own ``core.integer_weights``
+    scaling, so the generators and the sequence checks take it as it is."""
+    return tuple(rng.randint(1, MAX_DRAW) for _ in range(n))
 
 
 def scan(
@@ -242,8 +275,9 @@ def scan(
     directly.  Returns the first violation, or None.
     """
     rng = random.Random(seed)
-    is_fairness = property in ("wef1", "wwef1", "wprop1")
-    if not is_fairness and property not in MONOTONICITY_KINDS:
+    is_fairness = property in NOTIONS
+    entry = PERTURBATIONS.get(property)
+    if not is_fairness and entry is None:
         raise ValueError(f"unknown scan property {property!r}")
     for name, value in (("trials", trials), ("max_n", max_n), ("max_m", max_m)):
         if value < 1:
@@ -253,6 +287,7 @@ def scan(
         raise ValueError(f"rule {rule.name} runs on exactly {fixed_n} agents: scan it with "
                          f"max_n >= {fixed_n} on a property other than population")
     min_n = 2 if max_n >= 2 else 1
+    found = partial(ScanReport, rule.name, property, seed, trials, max_n, max_m)
 
     for trial in range(trials):
         if is_fairness and rule.is_sequence_based:
@@ -263,39 +298,19 @@ def scan(
             verdict = check_sequence(property, seq, weights)
             if not verdict.holds:
                 bridge = zero_one_instance(weights, m, verdict.witness.prefix)
-                return ScanReport(
-                    rule.name, property, seed, trials, max_n, max_m,
-                    trial, bridge, sequence=seq, verdict=verdict,
-                )
+                return found(trial, bridge, sequence=seq, verdict=verdict)
             continue
 
         base = random_instance(rng, max_n, max_m, min_n=min_n, n=fixed_n)
         if is_fairness:
             verdict = check_allocation(property, base, apply_rule(rule, base))
             if not verdict.holds:
-                return ScanReport(
-                    rule.name, property, seed, trials, max_n, max_m,
-                    trial, base, verdict=verdict,
-                )
+                return found(trial, base, verdict=verdict)
             continue
 
-        if property == "resource":
-            column = [Fraction(rng.randint(0, MAX_DRAW)) for _ in range(base.n)]
-            report = compare_resource(rule, base, column)
-            perturbation = {"kind": "resource", "utilities": column}
-        elif property == "population":
-            new_weight = Fraction(rng.randint(1, MAX_DRAW))
-            row = [Fraction(rng.randint(0, MAX_DRAW)) for _ in range(base.m)]
-            report = compare_population(rule, base, new_weight, row)
-            perturbation = {"kind": "population", "weight": new_weight, "utilities": row}
-        else:
-            agent = rng.randrange(base.n)
-            new_weight = base.weights[agent] + rng.randint(1, MAX_DRAW)
-            report = compare_weight(rule, base, agent, new_weight)
-            perturbation = {"kind": "weight", "agent": agent, "weight": new_weight}
+        args = entry.draw(rng, base)
+        report = entry.compare(rule, base, *args)
         if report.violated:
-            return ScanReport(
-                rule.name, property, seed, trials, max_n, max_m,
-                trial, base, report=report, perturbation=perturbation,
-            )
+            perturbation = {"kind": property, **dict(zip(entry.names, args))}
+            return found(trial, base, report=report, perturbation=perturbation)
     return None

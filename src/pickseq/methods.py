@@ -15,7 +15,6 @@ What depends on a kind is read from ``DIVISOR_FAMILIES`` and ``RULE_KINDS``.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -253,7 +252,7 @@ def divisor_from_name(text: str) -> DivisorFunction:
     if name.startswith("custom:@"):
         path = name.split("@", 1)[1]
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = core.load_json(handle.read(), "custom table")
         if not isinstance(doc, dict) or not isinstance(doc.get("values"), list):
             raise ParseError("custom table", 'expected an object whose "values" is a list')
         values = [parse_rational(v, "custom table entry") for v in doc["values"]]

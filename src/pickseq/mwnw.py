@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Sequence
 
-from .core import Allocation, Instance, allocation_utilities
+from .core import Allocation, Instance, allocation_utilities, integer_weights
 
 DEFAULT_BUDGET = 4_000_000
 # One multiplication of two 10^6-bit integers takes about 0.1 s (CPython
@@ -46,12 +46,12 @@ class BudgetExceededError(RuntimeError):
     through; use a smaller instance."""
 
 
-def weight_exponents(weights: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale rational weights to the smallest proportional integer vector."""
-    scale = lcm(*(w.denominator for w in weights))
-    exps = [int(w * scale) for w in weights]
-    shrink = gcd(*exps)
-    return tuple(e // shrink for e in exps)
+def weight_exponents(weights: Sequence) -> tuple[int, ...]:
+    """Scale rational weights to the smallest proportional integer vector:
+    ``core.integer_weights`` divided by its gcd."""
+    scaled = integer_weights(weights)
+    shrink = gcd(*scaled)
+    return tuple(e // shrink for e in scaled)
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,8 @@ def _score_from_utilities(
 def score(instance: Instance, allocation: Allocation) -> WelfareScore:
     """The comparable welfare score of an allocation."""
     utilities = allocation_utilities(instance, allocation)
-    return _score_from_utilities(instance.n, utilities, weight_exponents(instance.weights))
+    exponents = weight_exponents(instance.scaled_weights)
+    return _score_from_utilities(instance.n, utilities, exponents)
 
 
 def solve(
@@ -132,7 +133,7 @@ def solve(
             f"{n}^{m} assignments exceed the budget of {budget}; "
             "reduce the instance or raise the budget"
         )
-    exponents = weight_exponents(instance.weights)
+    exponents = weight_exponents(instance.scaled_weights)
     _, rows = instance.scaled_utilities
     bits = sum(e * sum(row).bit_length() for e, row in zip(exponents, rows))
     if bits > MAX_PRODUCT_BITS:

@@ -23,13 +23,7 @@ from typing import Callable
 from .core import Instance, format_rational
 from .fairness import check_allocation, check_sequence
 from .harness import (
-    apply_rule,
-    check_weight_consistency_pair,
-    compare_population,
-    compare_resource,
-    compare_weight,
-    scan,
-    sequence_for_rule,
+    PERTURBATIONS, apply_rule, check_weight_consistency_pair, scan, sequence_for_rule,
 )
 from .methods import (
     TRADITIONAL,
@@ -108,13 +102,6 @@ class NamedCase:
         return CaseResult(self.id, actual == self.expected, self.expected, actual)
 
 
-# Each monotonicity kind: the harness comparison and the perturbation it runs.
-_PERTURBATIONS = {
-    "resource": (compare_resource, Instance.add_item),
-    "population": (compare_population, Instance.add_agent),
-    "weight": (compare_weight, Instance.replace_weight),
-}
-
 # What a case may show of the rule's run on each instance, 1-indexed.
 _SHOW = {
     "sequence": lambda rule, inst: [
@@ -130,8 +117,8 @@ def _monotonicity_case(
     """Run the harness comparison of ``kind`` once, perturbing ``base`` by
     ``args``: the tracked agent's utility before and after, the verdict,
     and with ``show`` the rule's sequences or bundles on both instances."""
-    compare, perturb = _PERTURBATIONS[kind]
-    report = compare(rule, base, *args)
+    entry = PERTURBATIONS[kind]
+    report = entry.compare(rule, base, *args)
     after = "boosted" if kind == "weight" else "modified"
     out = {
         f"{label}_base": format_rational(report.before[agent]),
@@ -140,7 +127,7 @@ def _monotonicity_case(
     }
     if show is not None:
         out[f"{show}_base"] = _SHOW[show](rule, base)
-        out[f"{show}_{after}"] = _SHOW[show](rule, perturb(base, *args))
+        out[f"{show}_{after}"] = _SHOW[show](rule, entry.perturb(base, *args))
     return out
 
 

@@ -190,6 +190,29 @@ def test_scan_found_and_not_found(capsys):
     assert json.loads(out)["found"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rule", "mwnw", "--property", "resource", "--seed", "2", "--max-m", "5", "--trials", "400"],
+        ["--rule", "quota", "--property", "population", "--seed", "1", "--max-n", "4"],
+        ["--rule", "quota", "--property", "weight", "--seed", "5", "--max-n", "4"],
+    ],
+)
+def test_scan_perturbation_replays_through_mono(capsys, argv):
+    # a scan's instance and perturbation are documents that `mono` reads,
+    # and the comparison it reruns is the one the scan reported
+    code, out, _ = run_cli(capsys, "scan", *argv, "--json")
+    assert code == 1
+    found = json.loads(out)
+    code, out, err = run_cli(
+        capsys, "mono", "--property", found["property"], "--rule", found["rule"],
+        "--instance", json.dumps(found["instance"]),
+        "--perturb", json.dumps(found["perturbation"]), "--json",
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out) == found["report"]
+
+
 def test_repro_list_and_case(capsys):
     code, out, _ = run_cli(capsys, "repro", "--list")
     assert code == 0
@@ -259,26 +282,44 @@ def test_scan_empty_bounds_exit_two(capsys):
         assert f"scan needs {name} >= 1, got {value}" in err
 
 
-@pytest.mark.parametrize("document", ["[0, 1]", '{"values": 5}', '{"tail_offset": 1}'])
-def test_malformed_custom_table_exit_two(capsys, tmp_path, document):
+NOT_A_TABLE = 'custom table: expected an object whose "values" is a list'
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("[0, 1]", NOT_A_TABLE),
+        ('{"values": 5}', NOT_A_TABLE),
+        ('{"tail_offset": 1}', NOT_A_TABLE),
+        ('{"values": [1, 2,]}', "error: custom table: invalid JSON: Expecting value"),
+    ],
+)
+def test_malformed_custom_table_exit_two(capsys, tmp_path, document, message):
     path = tmp_path / "table.json"
     path.write_text(document)
     code, out, err = run_cli(capsys, "sequence", "--method", f"custom:@{path}",
                              "--weights", "1,2", "--turns", "3")
     assert code == 2 and out == ""
-    assert 'custom table: expected an object whose "values" is a list' in err
+    assert message in err
 
 
 @pytest.mark.parametrize(
-    "perturb, field",
+    "prop, perturb, field",
     [
-        ("[1]", "perturb: expected a JSON object"),
-        ('{"kind": "weight", "agent": true, "weight": 2}', "perturb.agent"),
-        ('{"kind": "weight", "agent": "1", "weight": 2}', "perturb.agent"),
+        ("weight", "[1]", "perturb: expected a JSON object"),
+        ("weight", '{"kind": "weight", "agent": true, "weight": 2}', "perturb.agent"),
+        ("weight", '{"kind": "weight", "agent": "1", "weight": 2}', "perturb.agent"),
+        ("weight", '{"kind": "weight", agent: 1}', "error: perturb: invalid JSON: Expecting"),
+        ("resource", '{"kind": "resource", "utilities": [1, 2]}',
+         "perturb.utilities: need one utility per agent (3)"),
+        ("population", '{"kind": "population", "weight": 1, "utilities": [1, 2, 3]}',
+         "perturb.utilities: need one utility per item (5)"),
+        ("population", '{"kind": "population", "utilities": [1, 2, 3, 4, 5]}',
+         "perturb.weight: expected an integer or a 'p/q' string"),
     ],
 )
-def test_malformed_perturbation_exit_two(capsys, perturb, field):
-    code, out, err = run_cli(capsys, "mono", "--property", "weight", "--rule", "quota",
+def test_malformed_perturbation_exit_two(capsys, prop, perturb, field):
+    code, out, err = run_cli(capsys, "mono", "--property", prop, "--rule", "quota",
                              "--instance", INSTANCE_DOC, "--perturb", perturb)
     assert code == 2 and out == ""
     assert field in err

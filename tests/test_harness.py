@@ -6,6 +6,8 @@ import pytest
 
 from pickseq.core import Instance, PickingSequence
 from pickseq.harness import (
+    MONOTONICITY_KINDS,
+    PERTURBATIONS,
     check_population_consistency_pair,
     check_resource_consistency,
     check_weight_consistency_pair,
@@ -269,6 +271,24 @@ def test_scan_monotonicity_property():
     report = scan(MWNW, "resource", max_n=3, max_m=5, trials=400, seed=2)
     assert report is not None and report.report.violated
     assert report.perturbation["kind"] == "resource"
+
+
+@pytest.mark.parametrize(
+    "rule, prop, bounds",
+    [
+        (MWNW, "resource", dict(max_n=3, max_m=5, trials=400, seed=2)),
+        (QUOTA, "population", dict(max_n=4, seed=1)),
+        (QUOTA, "weight", dict(max_n=4, seed=5)),
+    ],
+)
+def test_scan_perturbation_replays_through_its_table_entry(rule, prop, bounds):
+    # the perturbation names its kind, then the entry's arguments in call order
+    found = scan(rule, prop, **bounds)
+    kind, *args = found.perturbation.values()
+    entry = PERTURBATIONS[prop]
+    assert kind == prop and tuple(found.perturbation)[1:] == entry.names
+    assert entry.compare(rule, found.instance, *args) == found.report
+    assert MONOTONICITY_KINDS == ("resource", "population", "weight")
 
 
 @pytest.mark.parametrize(
