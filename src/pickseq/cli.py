@@ -29,6 +29,7 @@ from .core import (
     parse_rational,
     parse_sequence,
 )
+from .executor import execute
 from .fairness import (
     NOTIONS,
     FairnessVerdict,
@@ -222,12 +223,14 @@ def _cmd_sequence(args) -> int:
 def _cmd_allocate(args) -> int:
     instance = _load_instance(args.instance)
     rule = rule_from_name(args.method)
-    allocation = apply_rule(rule, instance, budget=args.budget)
     payload = {"method": rule.name}
-    payload.update(_allocation_payload(instance, allocation))
     if rule.is_sequence_based:
-        seq = sequence_for_rule(rule, instance.n, instance.m, instance.weights)
+        seq = sequence_for_rule(rule, instance.n, instance.m, instance.scaled_weights)
         payload["sequence"] = [a + 1 for a in seq.turns]
+        allocation = execute(instance, seq)
+    else:
+        allocation = apply_rule(rule, instance, budget=args.budget)
+    payload.update(_allocation_payload(instance, allocation))
     _emit(payload, args.json, _allocation_text(instance, allocation))
     return 0
 

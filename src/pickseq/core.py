@@ -16,8 +16,9 @@ divided back into the same Fractions.  An ``Instance`` computes its integer
 view (``scaled_weights``, ``scaled_utilities`` and the ``preference_orders``
 sorted from them) on first use and keeps it, so every layer that reads one
 instance shares one conversion; ``allocation_utilities`` sums the scaled
-rows and divides once per agent.  The view takes no part in equality,
-hashing, ``repr`` or pickling.
+rows and divides once per agent.  ``add_item``, ``add_agent`` and
+``replace_weight`` extend the parent's view and check only the values they
+add.  The view takes no part in equality, hashing, ``repr`` or pickling.
 
 Agents and items are 0-indexed in code and 1-indexed in serialized
 documents and CLI output.
@@ -28,9 +29,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/-?\d+)?$")
@@ -128,20 +130,25 @@ class Instance:
         n = len(weights)
         if n < 1:
             raise ValueError("an instance needs at least one agent")
-        # a Fraction's denominator is positive: its sign is its numerator's
-        if any(w.numerator <= 0 for w in weights):
-            raise ValueError("weights must be strictly positive")
+        _check_weights(weights)
         if len(utilities) != n:
             raise ValueError(f"utilities has {len(utilities)} rows for {n} agents")
         m = len(utilities[0]) if utilities else 0
         if any(len(row) != m for row in utilities):
             raise ValueError("utility rows must all have the same length")
-        if any(u.numerator < 0 for row in utilities for u in row):
-            raise ValueError("utilities must be non-negative")
+        _check_utilities(u for row in utilities for u in row)
         if self.agent_names is not None and len(self.agent_names) != n:
             raise ValueError("agent_names length must equal the agent count")
         if self.item_names is not None and len(self.item_names) != m:
             raise ValueError("item_names length must equal the item count")
+
+    @classmethod
+    def _derived(cls, weights, utilities, **views) -> "Instance":
+        """An unnamed instance of tuples of checked Fractions, holding the given views."""
+        instance = object.__new__(cls)
+        instance.__dict__.update(views, weights=weights, utilities=utilities,
+                                 agent_names=None, item_names=None)
+        return instance
 
     @property
     def n(self) -> int:
@@ -188,26 +195,64 @@ class Instance:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def add_item(self, column: Sequence[object]) -> "Instance":
-        """Return the instance with one extra item appended (index m)."""
+        """Return the instance with one extra item appended (index m).  A scaled
+        row is rescaled only when the new value's denominator does not divide
+        its scale; the item follows every item worth as much in each order."""
         col = [_as_rational(u) for u in column]
         if len(col) != self.n:
             raise ValueError("extra item needs one utility per agent")
-        utilities = tuple(row + (col[i],) for i, row in enumerate(self.utilities))
-        return Instance(self.weights, utilities)
+        _check_utilities(col)
+        m, views = self.m, []
+        for u, scale, row, order in zip(col, *self.scaled_utilities, self.preference_orders):
+            if scale % u.denominator:
+                factor = math.lcm(scale, u.denominator) // scale
+                scale, row = scale * factor, tuple(v * factor for v in row)
+            value = u.numerator * (scale // u.denominator)
+            k = bisect_right(order, -value, key=lambda g: -row[g])
+            views.append((scale, row + (value,), order[:k] + (m,) + order[k:]))
+        scales, rows, orders = zip(*views)
+        return Instance._derived(
+            self.weights, tuple(row + (u,) for row, u in zip(self.utilities, col)),
+            scaled_weights=self.scaled_weights, scaled_utilities=(scales, rows),
+            preference_orders=orders,
+        )
 
     def add_agent(self, weight: object, row: Sequence[object]) -> "Instance":
         """Return the instance with one extra agent appended (index n)."""
         urow = tuple(_as_rational(u) for u in row)
         if len(urow) != self.m:
             raise ValueError("extra agent needs one utility per item")
-        return Instance(self.weights + (_as_rational(weight),), self.utilities + (urow,))
+        weight = _as_rational(weight)
+        _check_weights((weight,))
+        _check_utilities(urow)
+        alone = Instance._derived((weight,), (urow,))  # computes the new agent's views
+        return Instance._derived(
+            self.weights + (weight,), self.utilities + (urow,),
+            scaled_utilities=tuple(map(add, self.scaled_utilities, alone.scaled_utilities)),
+            preference_orders=self.preference_orders + alone.preference_orders,
+        )
 
     def replace_weight(self, agent: int, weight: object) -> "Instance":
+        """Return the instance with one agent's weight replaced, sharing its utility views."""
         if not 0 <= agent < self.n:
             raise ValueError(f"agent index {agent} out of range")
-        w = list(self.weights)
-        w[agent] = _as_rational(weight)
-        return Instance(tuple(w), self.utilities)
+        weight = _as_rational(weight)
+        _check_weights((weight,))
+        return Instance._derived(
+            self.weights[:agent] + (weight,) + self.weights[agent + 1:], self.utilities,
+            scaled_utilities=self.scaled_utilities, preference_orders=self.preference_orders,
+        )
+
+
+def _check_weights(weights: Iterable[Fraction]) -> None:
+    # a Fraction's denominator is positive: its sign is its numerator's
+    if any(w.numerator <= 0 for w in weights):
+        raise ValueError("weights must be strictly positive")
+
+
+def _check_utilities(utilities: Iterable[Fraction]) -> None:
+    if any(u.numerator < 0 for u in utilities):
+        raise ValueError("utilities must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -284,8 +329,7 @@ def integer_weights(weights: Iterable) -> tuple[int, ...]:
             raise ValueError("weights must be strictly positive")
         return weights
     weights = tuple(map(_as_rational, weights))
-    if any(w.numerator <= 0 for w in weights):
-        raise ValueError("weights must be strictly positive")
+    _check_weights(weights)
     scale = math.lcm(*(w.denominator for w in weights))
     return tuple(w.numerator * (scale // w.denominator) for w in weights)
 

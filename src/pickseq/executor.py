@@ -21,17 +21,16 @@ from .core import Allocation, Instance, PickingSequence, turns_of
 
 def execute(instance: Instance, sequence: PickingSequence | Iterable[int]) -> Allocation:
     turns = turns_of(sequence)
-    if len(turns) != instance.m:
-        raise ValueError(
-            f"sequence length {len(turns)} does not match item count {instance.m}"
-        )
-    if any(not 0 <= a < instance.n for a in turns):
-        raise ValueError(f"sequence references an agent outside 1..{instance.n}")
+    n, m = instance.n, instance.m
+    if len(turns) != m:
+        raise ValueError(f"sequence length {len(turns)} does not match item count {m}")
+    if turns and (min(turns) < 0 or max(turns) >= n):
+        raise ValueError(f"sequence references an agent outside 1..{n}")
 
     orders = instance.preference_orders
-    taken = [False] * instance.m
-    next_pick = [0] * instance.n
-    bundles = [set() for _ in range(instance.n)]
+    taken = [False] * m
+    next_pick = [0] * n
+    bundles = [set() for _ in range(n)]
     for agent in turns:
         order = orders[agent]
         k = next_pick[agent]

@@ -29,8 +29,9 @@ from .executor import execute
 from .fairness import NOTIONS, FairnessVerdict, check_allocation, check_sequence, zero_one_instance
 from .methods import Rule
 
-# Largest weight and utility that `random_instance` and `scan` draw.
+# Largest weight and utility that `random_instance` and `scan` draw; `_DRAWN` builds each once.
 MAX_DRAW = 10
+_DRAWN = tuple(map(Fraction, range(MAX_DRAW + 1)))
 
 
 def sequence_for_rule(rule: Rule, n: int, m: int, weights: Sequence) -> PickingSequence:
@@ -120,7 +121,7 @@ class Perturbation(NamedTuple):
 
 
 def _draws(rng: random.Random, count: int) -> list[Fraction]:
-    return [Fraction(rng.randint(0, MAX_DRAW)) for _ in range(count)]
+    return [_DRAWN[rng.randint(0, MAX_DRAW)] for _ in range(count)]
 
 
 def _draw_weight(rng: random.Random, base: Instance) -> tuple[int, Fraction]:
@@ -135,7 +136,7 @@ PERTURBATIONS = {
     ),
     "population": Perturbation(
         compare_population, Instance.add_agent, ("weight", "utilities"),
-        lambda rng, base: (Fraction(rng.randint(1, MAX_DRAW)), _draws(rng, base.m)),
+        lambda rng, base: (_DRAWN[rng.randint(1, MAX_DRAW)], _draws(rng, base.m)),
     ),
     "weight": Perturbation(
         compare_weight, Instance.replace_weight, ("agent", "weight"), _draw_weight
@@ -244,12 +245,18 @@ def random_instance(
     """Small random instance with integer weights and utilities.
 
     Integer-valued randomness keeps ties frequent, which is what stresses
-    the tie-breaking rules.
+    the tie-breaking rules.  The drawn ints are the instance's integer view.
     """
     if n is None:
         n = rng.randint(min_n, max_n)
     m = rng.randint(1, max_m)
-    return Instance(random_weights(rng, n), [_draws(rng, m) for _ in range(n)])
+    weights = random_weights(rng, n)
+    rows = tuple(tuple(rng.randint(0, MAX_DRAW) for _ in range(m)) for _ in range(n))
+    return Instance._derived(
+        tuple(map(_DRAWN.__getitem__, weights)),
+        tuple(tuple(map(_DRAWN.__getitem__, row)) for row in rows),
+        scaled_weights=weights, scaled_utilities=((1,) * n, rows),
+    )
 
 
 def random_weights(rng: random.Random, n: int) -> tuple[int, ...]:

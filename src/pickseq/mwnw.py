@@ -116,7 +116,8 @@ def solve(
     optimistic utility bound cannot strictly beat the positive incumbent
     are skipped; the result is identical to the unpruned enumeration
     because equal-score leaves always lose the lexicographic tie-break to
-    the earlier incumbent.
+    the earlier incumbent.  For the same reason a pruned search skips a state
+    (next item, utilities so far) it has entered before, above the last two items.
 
     A leaf is ranked by (support size, sorted support, product) as
     ``WelfareScore.compare`` ranks it, on integer products.  Every u^e_i is
@@ -170,9 +171,15 @@ def solve(
     best_size, best_support, best_product, best_bits = -1, (), 0, 0
     current = [0] * n
     assign = [0] * m
+    seen: set[tuple[int, ...]] = set()  # (j, *current) of the states entered
 
     def recurse(j: int) -> None:
         nonlocal best_assign, best_size, best_support, best_product, best_bits
+        if prune and j < m - 2:
+            state = (j, *current)
+            if state in seen:
+                return
+            seen.add(state)
         if j == m:
             if best_size == n:
                 if 0 in current:

@@ -23,7 +23,7 @@ from pickseq.core import (
     serialize_sequence,
 )
 from pickseq.fairness import check_quota_bounds, check_sequence, zero_one_instance
-from pickseq.harness import compare_weight
+from pickseq.harness import compare_weight, random_instance
 from pickseq.methods import (
     WEBSTER,
     compare_scores,
@@ -160,6 +160,19 @@ def test_filled_integer_view_leaves_equality_hash_repr_and_pickle_unchanged():
         assert clone.preference_orders == fresh_orders(warm)
 
 
+def assert_built_with_fresh_view(inst: Instance):
+    """The instance's views equal a fresh computation, and it compares,
+    hashes, prints, pickles and copies as the same fields built afresh."""
+    assert (inst.scaled_weights, inst.scaled_utilities) == fresh_view(inst)
+    assert inst.preference_orders == fresh_orders(inst)
+    fresh = Instance(inst.weights, inst.utilities, inst.agent_names, inst.item_names)
+    assert inst == fresh and hash(inst) == hash(fresh) and repr(inst) == repr(fresh)
+    assert inst.__getstate__() == fresh.__getstate__()
+    for clone in (pickle.loads(pickle.dumps(inst)), copy.copy(inst), copy.deepcopy(inst)):
+        assert clone == inst and "scaled_utilities" not in vars(clone)
+        assert clone.preference_orders == fresh_orders(inst)
+
+
 def test_derived_instances_get_their_own_integer_view():
     inst = mixed_instance()
     # fill the parent's view before deriving
@@ -170,12 +183,83 @@ def test_derived_instances_get_their_own_integer_view():
         inst.add_agent(Fraction(1, 7), (Fraction(5, 11), 0, 2)),
     ]
     for other in derived:
-        assert (other.scaled_weights, other.scaled_utilities) == fresh_view(other)
-        assert other.preference_orders == fresh_orders(other)
+        assert_built_with_fresh_view(other)
     assert derived[0].scaled_weights == (45, 42, 50)
     assert derived[1].preference_orders[0] == (1, 0, 3, 2)
-    assert (inst.scaled_weights, inst.scaled_utilities) == fresh_view(inst)
-    assert inst.preference_orders == fresh_orders(inst)
+    assert_built_with_fresh_view(inst)
+    # a cold parent gets its view on the way
+    assert_built_with_fresh_view(mixed_instance().add_item((1, 2, 3)))
+
+    # 4 does not divide the first row's scale 6, so that row moves to 12;
+    # 2 divides the second row's scale 4, which stays
+    inst = Instance((1, 2), ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), 1)))
+    assert inst.scaled_utilities == ((6, 4), ((3, 2), (1, 4)))
+    grown = inst.add_item((Fraction(1, 4), Fraction(3, 2)))
+    assert grown.scaled_utilities == ((12, 4), ((6, 4, 3), (1, 4, 6)))
+    assert grown.preference_orders == ((0, 1, 2), (2, 1, 0))
+    assert_built_with_fresh_view(grown)
+
+    # a new item follows every item it ties
+    inst = Instance((1, 1), ((3, 5, 3, 0), (Fraction(1, 2), 0, Fraction(1, 2), 2)))
+    tie, top = inst.add_item((3, Fraction(1, 2))), inst.add_item((5, 2))
+    assert tie.preference_orders == ((1, 0, 2, 4, 3), (3, 0, 2, 4, 1))
+    assert top.preference_orders == ((1, 4, 0, 2, 3), (3, 4, 0, 2, 1))
+    assert_built_with_fresh_view(tie)
+    assert_built_with_fresh_view(top)
+
+    # a parent without items
+    empty = Instance((Fraction(1, 2), 3), ((), ()))
+    one = empty.add_item((Fraction(2, 3), 0))
+    assert one.scaled_utilities == ((3, 1), ((2,), (0,)))
+    for other in (one, empty.add_agent(Fraction(5, 3), ()), empty.replace_weight(0, 4)):
+        assert_built_with_fresh_view(other)
+
+    # a chain of derived instances, each derived from the last
+    inst = mixed_instance()
+    for step in range(12):
+        if step % 3 == 0:
+            inst = inst.add_item([Fraction(step + 1, k + 2) for k in range(inst.n)])
+        elif step % 3 == 1:
+            inst = inst.add_agent(Fraction(step, 5), [Fraction(g % 4, 3) for g in range(inst.m)])
+        else:
+            inst = inst.replace_weight(step % inst.n, Fraction(7, step))
+        assert_built_with_fresh_view(inst)
+    assert (inst.n, inst.m) == (7, 7)
+
+    # random instances are built with their drawn ints as their view
+    for seed in range(100):
+        inst = random_instance(random.Random(seed), max_n=5, max_m=8)
+        assert_built_with_fresh_view(inst)
+        assert all(type(w) is int for w in inst.scaled_weights)
+
+
+# Each perturbation's error, with two faults at once where there are two:
+# the fault that the instance constructor checks first is reported.
+PERTURBATION_ERRORS = {
+    "add_agent zero weight, negative utility": (
+        lambda inst: inst.add_agent(0, (-1, 2)), "weights must be strictly positive"),
+    "add_agent negative utility": (
+        lambda inst: inst.add_agent(1, (1, Fraction(-1, 3))), "utilities must be non-negative"),
+    "add_agent short row, zero weight": (
+        lambda inst: inst.add_agent(0, (1,)), "extra agent needs one utility per item"),
+    "add_item negative": (
+        lambda inst: inst.add_item((1, -1)), "utilities must be non-negative"),
+    "add_item short, negative": (
+        lambda inst: inst.add_item((-1,)), "extra item needs one utility per agent"),
+    "replace_weight zero": (
+        lambda inst: inst.replace_weight(0, 0), "weights must be strictly positive"),
+    "replace_weight out of range, zero": (
+        lambda inst: inst.replace_weight(2, 0), "agent index 2 out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBATION_ERRORS))
+def test_perturbation_errors(case):
+    perturb, message = PERTURBATION_ERRORS[case]
+    inst = Instance((Fraction(3, 4), 2), ((Fraction(1, 2), 3), (1, 0)))
+    with pytest.raises(ValueError) as info:
+        perturb(inst)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_instance_validation():

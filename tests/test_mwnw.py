@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,29 @@ def test_pruned_and_unpruned_identical_random():
             tuple(tuple(Fraction(rng.randint(0, 9)) for _ in range(m)) for _ in range(n)),
         )
         assert solve(inst, prune=True) == solve(inst, prune=False)
+
+
+def test_pruned_and_unpruned_identical_on_tie_heavy_rows():
+    # values from {0, 1, 2} make many partial assignments reach equal
+    # utility vectors, the states the pruned search enters only once
+    rng = random.Random(58)
+    for _ in range(150):
+        n, m = rng.randint(2, 3), rng.randint(2, 7)
+        inst = Instance(
+            tuple(Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) for _ in range(n)),
+            tuple(tuple(rng.randint(0, 2) for _ in range(m)) for _ in range(n)),
+        )
+        assert solve(inst, prune=True) == solve(inst, prune=False)
+
+
+def test_tied_large_exponent_instance_solves_quickly():
+    # exponents 30003 and 30001 on all-ones rows: every split of the items
+    # is reached by many assignments, and each product has ~10^5 bits
+    inst = Instance((Fraction(1, 30001), Fraction(1, 30003)), ((1,) * 16, (1,) * 16))
+    start = time.perf_counter()
+    alloc = solve(inst)
+    assert time.perf_counter() - start < 1.0
+    assert alloc == Allocation((frozenset(range(8)), frozenset(range(8, 16))))
 
 
 def test_weight_monotonicity_random():
