@@ -418,7 +418,7 @@ def parse_instance(document: str | Mapping) -> Instance:
         else:
             w = parse_rational(entry, f"{field}.weight")
             agent_names.append(f"agent {idx + 1}")
-        if w <= 0:
+        if w.numerator <= 0:
             raise ParseError(f"{field}.weight", "weight must be positive")
         weights.append(w)
 
@@ -447,7 +447,7 @@ def parse_instance(document: str | Mapping) -> Instance:
         parsed_row = []
         for j, cell in enumerate(row):
             u = parse_rational(cell, f"utilities[{i}][{j}]")
-            if u < 0:
+            if u.numerator < 0:
                 raise ParseError(f"utilities[{i}][{j}]", "utility must be non-negative")
             parsed_row.append(u)
         utilities.append(tuple(parsed_row))

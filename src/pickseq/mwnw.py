@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import add, getitem
 from typing import Sequence
 
 from .core import Allocation, Instance, allocation_utilities, integer_weights
@@ -105,6 +106,20 @@ def score(instance: Instance, allocation: Allocation) -> WelfareScore:
     return _score_from_utilities(instance.n, utilities, exponents)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``: once filled,
+    ``map(operator.getitem, memos, keys)`` reads it without a Python call."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 def solve(
     instance: Instance, budget: int = DEFAULT_BUDGET, prune: bool = True
 ) -> Allocation:
@@ -112,21 +127,31 @@ def solve(
 
     Enumerates all n^m item-to-agent assignments depth-first in
     lexicographic order, so the first optimum found is also the
-    lexicographic tie-break winner.  With ``prune`` enabled, subtrees whose
-    optimistic utility bound cannot strictly beat the positive incumbent
-    are skipped; the result is identical to the unpruned enumeration
-    because equal-score leaves always lose the lexicographic tie-break to
-    the earlier incumbent.  For the same reason a pruned search skips a state
-    (next item, utilities so far) it has entered before, above the last two items.
+    lexicographic tie-break winner.  With ``prune`` enabled, a branch is
+    skipped when no leaf under it can strictly beat the incumbent, which
+    keeps the result identical to the unpruned enumeration: equal-score
+    leaves always lose the lexicographic tie-break to the earlier incumbent.
+    Three rules skip:
+
+    - above the last item, a subtree whose optimistic utility bound cannot
+      beat a positive incumbent (at the last item the bound costs more than
+      the n leaves it would save);
+    - a state (next item, utilities so far) entered before, above the last
+      two items;
+    - item j given to an agent a > 0 who values it at 0: each leaf under
+      that branch is componentwise at most the matching leaf under "item j
+      to agent 0", visited earlier, so its support is a subset and its
+      product on an equal support no larger.
 
     A leaf is ranked by (support size, sorted support, product) as
-    ``WelfareScore.compare`` ranks it, on integer products.  Every u^e_i is
-    computed once per solve and cached per agent and utility value with its
-    bit length.  A product of k powers whose bit lengths sum to b has a bit
-    length from b - k + 1 to b, so when that window lies wholly above or
-    below the incumbent's bit length the order is known without
-    multiplying; otherwise a leaf or a bound costs at most n big-integer
-    multiplications.
+    ``WelfareScore.compare`` ranks it, on integer products.  The bit length
+    of each u^e_i, and u^e_i itself where a product needs it, is computed
+    once per solve, in per-agent memos that a bound or a leaf reads in C.  A product of k powers whose bit lengths
+    sum to b has a bit length from b - k + 1 to b, so when that window lies
+    wholly above or below the incumbent's bit length the order is known
+    without multiplying; otherwise a leaf or a bound costs at most n
+    big-integer multiplications.  A leaf's support is read from its m
+    picks, not from its n utilities.
     """
     n, m = instance.n, instance.m
     if n**m > budget:
@@ -144,34 +169,25 @@ def solve(
             "use weights with smaller denominators"
         )
 
+    cols = list(zip(*rows))  # cols[j][i]: agent i's value for item j
+    # picks[j]: the (agent, value) branches of item j, without the dominated ones
+    picks = [[(a, u) for a, u in enumerate(col) if u or not (prune and a)] for col in cols]
     # rest[j][i]: agent i's scaled utility for all items from j onward
     rest = [[0] * n for _ in range(m + 1)]
     for j in range(m - 1, -1, -1):
-        for i in range(n):
-            rest[j][i] = rest[j + 1][i] + rows[i][j]
+        rest[j] = list(map(add, rest[j + 1], cols[j]))
+    # powers[i][u] = u ** e_i and lengths[i][u] its bit length, each computed
+    # once; a length does not store its power, which most bounds never need
+    powers = [_Memo(e.__rpow__) for e in exponents]
+    lengths = [_Memo(lambda u, e=e: (u ** e).bit_length()) for e in exponents]
 
-    # powers[i][u]: u ** e_i and its bit length, each computed once per solve
-    powers: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
-
-    def factors(values: Sequence[int], agents: Sequence[int]) -> tuple[int, list[int]]:
-        """The sum of the bit lengths of the powers values[i] ** e_i, and the powers."""
-        bits, out = 0, []
-        for i in agents:
-            entry = powers[i].get(values[i])
-            if entry is None:
-                p = values[i] ** exponents[i]
-                entry = powers[i][values[i]] = (p, p.bit_length())
-            out.append(entry[0])
-            bits += entry[1]
-        return bits, out
-
-    everyone = tuple(range(n))
-    best_assign: list[int] | None = None
+    best_assign: list[int] = []
     # the incumbent's rank: support size, sorted support, scaled product
-    best_size, best_support, best_product, best_bits = -1, (), 0, 0
+    best_size, best_support, best_product, best_bits = -1, [], 0, 0
     current = [0] * n
     assign = [0] * m
     seen: set[tuple[int, ...]] = set()  # (j, *current) of the states entered
+    last = m - 1
 
     def recurse(j: int) -> None:
         nonlocal best_assign, best_size, best_support, best_product, best_bits
@@ -180,44 +196,48 @@ def solve(
             if state in seen:
                 return
             seen.add(state)
-        if j == m:
-            if best_size == n:
-                if 0 in current:
+        if j < last:
+            if prune and best_size == n:
+                reach = list(map(add, current, rest[j]))
+                if 0 in reach:
                     return
-                support = everyone
-            else:
-                support = tuple(i for i in everyone if current[i])
-                if len(support) < best_size or (len(support) == best_size and support > best_support):
+                bits = sum(map(getitem, lengths, reach))
+                if bits < best_bits or (
+                    bits - n < best_bits and prod(map(getitem, powers, reach)) <= best_product
+                ):
                     return
-            bits, terms = factors(current, support)
-            if support == best_support and bits < best_bits:
-                return
-            cand = prod(terms)
-            if support == best_support and cand <= best_product:
-                return
-            best_size, best_support, best_product = len(support), support, cand
-            best_bits = cand.bit_length()
-            best_assign = assign.copy()
+            for a, value in picks[j]:
+                assign[j] = a
+                current[a] += value
+                recurse(j + 1)
+                current[a] -= value
             return
-        if prune and best_size == n:
-            reach = [current[i] + rest[j][i] for i in everyone]
-            if 0 in reach:
-                return
-            bits, terms = factors(reach, everyone)
-            if bits < best_bits or (bits - n < best_bits and prod(terms) <= best_product):
-                return
-        row_j = [row[j] for row in rows]
-        for a in everyone:
+        # the last item: its n leaves, ranked inline
+        for a, value in picks[j]:
             assign[j] = a
-            current[a] += row_j[a]
-            recurse(j + 1)
-            current[a] -= row_j[a]
+            current[a] += value
+            if best_size == n:
+                if 0 not in current and sum(map(getitem, lengths, current)) >= best_bits:
+                    cand = prod(map(getitem, powers, current))
+                    if cand > best_product:
+                        best_product, best_bits = cand, cand.bit_length()
+                        best_assign = assign.copy()
+            else:
+                support = sorted({b for b, c in zip(assign, cols) if c[b]})
+                size = len(support)
+                if size > best_size or (size == best_size and support <= best_support):
+                    cand = prod([powers[i][current[i]] for i in support])
+                    if support != best_support or cand > best_product:
+                        best_size, best_support, best_product = size, support, cand
+                        best_bits = cand.bit_length()
+                        best_assign = assign.copy()
+            current[a] -= value
 
-    recurse(0)
+    if m:
+        recurse(0)
     # recurse refers to itself through its closure; breaking that cycle
-    # frees the power caches now rather than at a later full collection
+    # frees the power memos now rather than at a later full collection
     del recurse
-    assert best_assign is not None
     bundles = [set() for _ in range(n)]
     for j, a in enumerate(best_assign):
         bundles[a].add(j)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from pickseq.core import Allocation, Instance
 from pickseq.fairness import check_allocation
 from pickseq import mwnw
@@ -134,6 +135,54 @@ def test_pruned_and_unpruned_identical_on_tie_heavy_rows():
             tuple(tuple(rng.randint(0, 2) for _ in range(m)) for _ in range(n)),
         )
         assert solve(inst, prune=True) == solve(inst, prune=False)
+
+
+def test_pruned_and_unpruned_match_reference_on_zero_heavy_rows():
+    # half the values are 0, so items valued 0 by later agents (the
+    # branches the pruned search skips) and zero-welfare optima are common
+    rng = random.Random(60)
+    partial_supports = 0
+    for _ in range(150):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        while n**m > 1024:
+            n, m = rng.randint(1, 5), rng.randint(1, 6)
+        inst = Instance(
+            tuple(Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 7))) for _ in range(n)),
+            tuple(tuple(rng.choice((0, 0, 0, 1, 2, 5)) for _ in range(m)) for _ in range(n)),
+        )
+        expected = reference.mwnw_solve(inst)
+        assert solve(inst, prune=True) == expected, inst
+        assert solve(inst, prune=False) == expected, inst
+        partial_supports += not score(inst, expected).is_positive
+    assert partial_supports >= 50
+
+
+def test_zero_row_instance_solves_quickly():
+    # agent 1 values nothing: every branch handing it an item is dominated
+    # by handing that item to agent 0 instead
+    rng = random.Random(5)
+    rows = [tuple(rng.randint(0, 10) for _ in range(10)) for _ in range(3)]
+    rows.insert(1, (0,) * 10)
+    inst = Instance((3, 1, 4, 2), tuple(rows))
+    start = time.perf_counter()
+    alloc = solve(inst)
+    assert time.perf_counter() - start < 0.5
+    assert alloc.bundles == (
+        frozenset({0, 1, 4, 7}), frozenset(), frozenset({3, 5, 6, 8}), frozenset({2, 9})
+    )
+
+
+def test_pruned_and_unpruned_identical_with_many_agents():
+    # 300 agents and 2 items: no allocation is positive, so every leaf is
+    # ranked by its support, read from its two picks
+    rng = random.Random(61)
+    inst = Instance(
+        tuple(rng.randint(1, 9) for _ in range(300)),
+        tuple(tuple(rng.randint(0, 10) for _ in range(2)) for _ in range(300)),
+    )
+    alloc = solve(inst, prune=True)
+    assert alloc == solve(inst, prune=False)
+    assert sum(map(bool, alloc.bundles)) == 2
 
 
 def test_tied_large_exponent_instance_solves_quickly():
