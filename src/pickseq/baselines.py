@@ -18,7 +18,7 @@ def round_robin_sequence(n: int, m: int) -> PickingSequence:
         raise ValueError("need at least one agent")
     if m < 0:
         raise ValueError("item count must be non-negative")
-    return PickingSequence(tuple(j % n for j in range(m)))
+    return PickingSequence._trusted(tuple(j % n for j in range(m)))
 
 
 def _envy_edges(rows: tuple[tuple[int, ...], ...], bundles: list[set[int]]) -> list[list[bool]]:
@@ -102,7 +102,7 @@ def envy_cycle_eliminate(instance: Instance) -> Allocation:
         bundles[best_agent].add(best_item)
         remaining.remove(best_item)
 
-    return Allocation(tuple(frozenset(b) for b in bundles))
+    return Allocation._trusted(tuple(map(frozenset, bundles)))
 
 
 def adjusted_winner(instance: Instance) -> Allocation:
@@ -133,7 +133,7 @@ def adjusted_winner(instance: Instance) -> Allocation:
 
     order = sorted(range(instance.m), key=sort_key)
     if not order:
-        return Allocation((frozenset(), frozenset()))
+        return Allocation._trusted((frozenset(), frozenset()))
     k = len(order)
     for candidate in range(1, len(order) + 1):
         prefix_value = sum((u1[g] for g in order[:candidate]), Fraction(0))
@@ -141,4 +141,4 @@ def adjusted_winner(instance: Instance) -> Allocation:
         if prefix_value >= tail_value:
             k = candidate
             break
-    return Allocation((frozenset(order[:k]), frozenset(order[k:])))
+    return Allocation._trusted((frozenset(order[:k]), frozenset(order[k:])))

@@ -32,7 +32,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add, index, itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/-?\d+)?$")
@@ -257,12 +257,14 @@ def _check_utilities(utilities: Iterable[Fraction]) -> None:
 
 @dataclass(frozen=True)
 class Allocation:
-    """A partition of the items into one bundle per agent (0-indexed items)."""
+    """A partition of the items into one bundle per agent (0-indexed items).
+    An item that is not an integer (a float, a string, a Fraction) raises
+    ``TypeError``."""
 
     bundles: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        bundles = tuple(frozenset(int(g) for g in b) for b in self.bundles)
+        bundles = tuple(frozenset(map(index, b)) for b in self.bundles)
         object.__setattr__(self, "bundles", bundles)
         seen: set[int] = set()
         for b in bundles:
@@ -272,6 +274,13 @@ class Allocation:
                 raise ValueError("bundles must be pairwise disjoint")
             seen |= b
 
+    @classmethod
+    def _trusted(cls, bundles: tuple[frozenset[int], ...]) -> "Allocation":
+        """An allocation of pairwise disjoint frozensets of non-negative
+        ints, stored without the constructor's checks."""
+        allocation = object.__new__(cls)
+        allocation.__dict__["bundles"] = bundles
+        return allocation
 
     @property
     def n(self) -> int:
@@ -293,15 +302,25 @@ class Allocation:
 
 @dataclass(frozen=True)
 class PickingSequence:
-    """An ordered list of agent turns, one per item (0-indexed agents)."""
+    """An ordered list of agent turns, one per item (0-indexed agents).  A
+    turn that is not an integer (a float, a string, a Fraction) raises
+    ``TypeError``."""
 
     turns: tuple[int, ...]
 
     def __post_init__(self):
-        turns = tuple(int(a) for a in self.turns)
+        turns = tuple(map(index, self.turns))
         object.__setattr__(self, "turns", turns)
         if any(a < 0 for a in turns):
             raise ValueError("agent indices must be non-negative")
+
+    @classmethod
+    def _trusted(cls, turns: tuple[int, ...]) -> "PickingSequence":
+        """A sequence of a tuple of non-negative ints, stored without the
+        constructor's checks."""
+        sequence = object.__new__(cls)
+        sequence.__dict__["turns"] = turns
+        return sequence
 
     def __len__(self) -> int:
         return len(self.turns)
@@ -311,10 +330,12 @@ class PickingSequence:
 
 
 def turns_of(sequence: PickingSequence | Iterable[int]) -> tuple[int, ...]:
-    """Accept a PickingSequence or a plain iterable of 0-indexed turns."""
+    """Accept a PickingSequence or a plain iterable of 0-indexed turns;
+    a turn that is not an integer (a float, a string, a Fraction) raises
+    ``TypeError``."""
     if isinstance(sequence, PickingSequence):
         return sequence.turns
-    return tuple(int(a) for a in sequence)
+    return tuple(map(index, sequence))
 
 
 def integer_weights(weights: Iterable) -> tuple[int, ...]:

@@ -40,4 +40,4 @@ def execute(instance: Instance, sequence: PickingSequence | Iterable[int]) -> Al
         next_pick[agent] = k + 1
         taken[pick] = True
         bundles[agent].add(pick)
-    return Allocation(tuple(frozenset(b) for b in bundles))
+    return Allocation._trusted(tuple(map(frozenset, bundles)))

@@ -238,8 +238,8 @@ def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
 
     This single-variable condition characterizes the divisor functions
     whose picking sequences guarantee wwef1.  Both inequalities are decided
-    in integers, by the order keys (``methods.form_key``) that the sequence
-    generator compares; a family without an order form raises
+    in integers, by the order keys (``methods.form_key``) that
+    ``compare_scores`` compares; a family without an order form raises
     ``PrecisionError``.
     """
     if t_max < 1:

@@ -5,11 +5,15 @@ t_i is the agent's pick count so far and f is strictly increasing with
 t <= f(t) <= t+1.  The quota method restricts the Jefferson rule
 (f(t) = t+1) to agents still below their proportional upper quota.
 
-Scores compare through one exact integer order key per agent and count,
-built from a power of f(t)/w that clears any root (``DivisorFunction.key``)
-on weights scaled to integers by one common factor.  Power means with a
-non-integer, non-zero exponent have no such key and raise ``PrecisionError``.
-What depends on a kind is read from ``DIVISOR_FAMILIES`` and ``RULE_KINDS``.
+Scores compare through the exact order form of f(t), a power of f(t)
+that clears any root, on weights scaled to integers by one common factor.
+Two scores compare as an ``OrderKey`` fraction each (``DivisorFunction.key``,
+used by ``compare_scores`` and the WWEF1 divisor condition).  The generator
+puts all scores of one call on one integer scale instead, so that its heap
+compares plain ints in C; when f(0) = 0 every agent picks once, in index
+order, before the heap starts.  Power means with a non-integer, non-zero
+exponent have no exact form and raise ``PrecisionError``.  What depends on
+a kind is read from ``DIVISOR_FAMILIES`` and ``RULE_KINDS``.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ class DivisorFunction:
             return None
         return Fraction(form[0], form[1])
 
-    def key(self, t: int, w: int, agent: int = 0) -> "OrderKey":
+    def key(self, t: int, w: int) -> "OrderKey":
         """Order key of f(t)/w for an agent with integer weight w > 0.
 
         With the form (num, den, e), the key is num/(den*w^e) when e > 0 and
@@ -93,37 +97,41 @@ class DivisorFunction:
         weights that share one scale (``core.integer_weights``) order
         exactly as the scores do.
         """
-        form = self.order_form(t)
-        if form is None:
-            raise PrecisionError(self.name)
-        return form_key(form, w, agent)
+        return form_key(_form(self, t), w)
 
 
-def form_key(form: tuple[int, int, int], w: int, agent: int = 0) -> "OrderKey":
+def _form(f: DivisorFunction, t: int) -> tuple[int, int, int]:
+    """f's order form at t; ``PrecisionError`` when it has none."""
+    form = f.order_form(t)
+    if form is None:
+        raise PrecisionError(f.name)
+    return form
+
+
+def form_key(form: tuple[int, int, int], w: int) -> "OrderKey":
     """The order key of x/w, for x with the order form (num, den, e)."""
     num, den, e = form
     if num == 0:
-        return OrderKey(-1, 0, agent)
+        return OrderKey(-1, 0)
     if e > 0:
-        return OrderKey(num, den * w**e, agent)
-    return OrderKey(-num * w**-e, den, agent)
+        return OrderKey(num, den * w**e)
+    return OrderKey(-num * w**-e, den)
 
 
 class OrderKey:
     """The integer fraction num/den (den >= 0) of one agent's score, for
-    ``heapq``, which needs only ``<``.  Keys compare by cross-multiplying,
-    ties going to the lower agent index.  (-1, 0), the key of f(t) = 0,
-    is below every key with den > 0 under the same product test.
+    comparing two scores (``compare_scores``, ``fairness``'s WWEF1 divisor
+    condition).  Keys compare by cross-multiplying.  (-1, 0), the key of
+    f(t) = 0, is below every key with den > 0 under the same product test.
     """
 
-    __slots__ = ("num", "den", "agent")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: int, den: int, agent: int):
-        self.num, self.den, self.agent = num, den, agent
+    def __init__(self, num: int, den: int):
+        self.num, self.den = num, den
 
     def __lt__(self, other: "OrderKey") -> bool:
-        lhs, rhs = self.num * other.den, other.num * self.den
-        return lhs < rhs or (lhs == rhs and self.agent < other.agent)
+        return self.num * other.den < other.num * self.den
 
 
 def _offset_form(t: int, offset: Fraction) -> tuple[int, int, int]:
@@ -290,25 +298,64 @@ def divisor_sequence(
 ) -> PickingSequence:
     """Length-m sequence: each turn goes to the argmin of f(t_i)/w_i.
 
-    Ties break in favor of the lowest agent index.  A heap of integer
-    order keys on the integer-scaled weights makes this O(m log n); an
-    agent's next key is evaluated only while a turn remains, so f is
-    evaluated at exactly the counts a turn compares.
+    Ties break in favor of the lowest agent index.  When f(0) = 0 the
+    first min(n, m) turns go to agents 0, 1, ... in order.  The other turns
+    come from a heap of (key, agent) tuples of ints, which compares in C:
+    O(m log n).
+
+    With the form (num, den, e) at agent i's count and the integer-scaled
+    weight W_i, f(t_i)/w_i orders as X_i = num/(den*W_i^e) when e > 0 and
+    as X_i = -num*W_i^|e|/den when e < 0; X_i = P_i/Q_i with Q_i = den*W_i^e
+    or den.  The key is floor(X_i * 2^k) with 2^k >= Q_a*Q_b for every pair
+    of keys in the heap: two distinct X differ by at least 1/(Q_a*Q_b), so
+    their keys differ, and equal X give equal keys, which go to the lower
+    index.  A form whose den outgrows k's bound at least doubles the bit
+    budget of den in k and recomputes the n keys, which keeps their order
+    and so the heap.  Each count's form is computed once, shared by all
+    agents, and only while a turn remains, so f is evaluated at exactly
+    the counts a turn compares.
     """
     ws = _check_arguments(n, m, weights)
     if n == 1 or m == 0:
-        return PickingSequence((0,) * m)  # no turn compares two scores
-    heap = [f.key(0, w, i) for i, w in enumerate(ws)]
-    heapq.heapify(heap)
-    counts = [0] * n
+        return PickingSequence._trusted((0,) * m)  # no turn compares two scores
+    forms = [_form(f, 0)]
     turns = []
-    for turn in range(1, m + 1):
-        best = heap[0].agent
+    if forms[0][0] == 0:
+        # every score f(0)/w is 0 and every later one positive
+        turns = list(range(min(n, m)))
+        if m > 1:
+            forms.append(_form(f, 1))  # the agent of the first turn, at count 1
+        if m <= n:
+            return PickingSequence._trusted(tuple(turns))
+    counts = [len(forms) - 1] * n  # every agent holds one count here
+    e = forms[-1][2]
+    # X_i = num * up[i] / (den * down[i])
+    up = [1] * n if e > 0 else [-(w**-e) for w in ws]
+    down = [w**e for w in ws] if e > 0 else [1] * n
+    den_bits = forms[-1][1].bit_length()
+    down_bits = max(down).bit_length()
+    shift = 2 * (den_bits + down_bits)
+
+    def key(i: int) -> int:
+        num, den, _ = forms[counts[i]]
+        return (num * up[i] << shift) // (den * down[i])
+
+    heap = [(key(i), i) for i in range(n)]
+    heapq.heapify(heap)
+    for _ in range(len(turns), m - 1):
+        best = heap[0][1]
         turns.append(best)
-        counts[best] += 1
-        if turn < m:
-            heapq.heapreplace(heap, f.key(counts[best], ws[best], best))
-    return PickingSequence(tuple(turns))
+        t = counts[best] + 1
+        if t == len(forms):
+            forms.append(_form(f, t))
+            if forms[t][1].bit_length() > den_bits:
+                den_bits = max(2 * den_bits, forms[t][1].bit_length())
+                shift = 2 * (den_bits + down_bits)
+                heap = [(key(i), i) for _, i in heap]
+        counts[best] = t
+        heapq.heapreplace(heap, (key(best), best))
+    turns.append(heap[0][1])
+    return PickingSequence._trusted(tuple(turns))
 
 
 def quota_sequence(n: int, m: int, weights: Sequence) -> PickingSequence:
@@ -333,7 +380,7 @@ def quota_sequence(n: int, m: int, weights: Sequence) -> PickingSequence:
         assert best is not None, "quota eligibility set is empty: arithmetic bug"
         turns.append(best)
         counts[best] += 1
-    return PickingSequence(tuple(turns))
+    return PickingSequence._trusted(tuple(turns))
 
 
 class RuleKind(NamedTuple):

@@ -241,4 +241,4 @@ def solve(
     bundles = [set() for _ in range(n)]
     for j, a in enumerate(best_assign):
         bundles[a].add(j)
-    return Allocation(tuple(frozenset(b) for b in bundles))
+    return Allocation._trusted(tuple(map(frozenset, bundles)))

@@ -11,6 +11,7 @@ from pickseq.core import (
     Allocation,
     Instance,
     ParseError,
+    PickingSequence,
     bundle_utility,
     format_rational,
     integer_weights,
@@ -21,10 +22,16 @@ from pickseq.core import (
     serialize_allocation,
     serialize_instance,
     serialize_sequence,
+    turns_of,
 )
+from pickseq.baselines import adjusted_winner, envy_cycle_eliminate, round_robin_sequence
+from pickseq.executor import execute
 from pickseq.fairness import check_quota_bounds, check_sequence, zero_one_instance
 from pickseq.harness import compare_weight, random_instance
 from pickseq.methods import (
+    ADAMS,
+    DEAN,
+    HILL,
     WEBSTER,
     compare_scores,
     divisor_rule,
@@ -32,6 +39,7 @@ from pickseq.methods import (
     quota_sequence,
     stationary,
 )
+from pickseq.mwnw import solve
 
 # five items, three agents; the flip table used across the repro catalog
 FLIP_TABLE = (
@@ -330,6 +338,72 @@ def test_instance_perturbation_helpers():
     boosted = inst.replace_weight(0, Fraction(11, 18))
     assert boosted.weights[0] == Fraction(11, 18)
     assert inst.weights[0] == Fraction(9, 18)  # original untouched
+
+
+NON_INTEGER_INDICES = {
+    "float": 1.9,
+    "integral float": 1.0,
+    "string": "1",
+    "Fraction": Fraction(1),
+}
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER_INDICES.values(), ids=list(NON_INTEGER_INDICES))
+def test_non_integer_indices_raise_type_error(bad):
+    # int() would truncate 1.9 to agent 1 and read "1" as agent 1
+    with pytest.raises(TypeError):
+        PickingSequence((bad, 0))
+    with pytest.raises(TypeError):
+        Allocation(([0, bad], [2]))
+    with pytest.raises(TypeError):
+        turns_of([0, bad, 0])
+    with pytest.raises(TypeError):
+        check_sequence("wef1", [0, bad, 0], (1, 1))
+    with pytest.raises(TypeError):
+        execute(Instance((1, 1), ((1, 2, 3), (3, 2, 1))), [0, bad, 0])
+    # ints and anything else with __index__ stay accepted
+    assert PickingSequence((True, 0)).turns == (1, 0)
+    assert Allocation(([0, True], [2])).bundles == (frozenset({0, 1}), frozenset({2}))
+
+
+def assert_same_as_validated(result):
+    """A generator's or solver's result compares, hashes, prints and
+    pickles as the same value built by the public constructor."""
+    if isinstance(result, PickingSequence):
+        assert type(result.turns) is tuple and all(type(a) is int for a in result.turns)
+        fresh = PickingSequence(list(result.turns))
+    else:
+        assert type(result.bundles) is tuple
+        assert all(type(b) is frozenset and all(type(g) is int for g in b) for b in result.bundles)
+        fresh = Allocation([set(b) for b in result.bundles])
+    assert result == fresh and hash(result) == hash(fresh) and repr(result) == repr(fresh)
+    assert vars(result) == vars(fresh) and pickle.dumps(result) == pickle.dumps(fresh)
+    for clone in (pickle.loads(pickle.dumps(result)), copy.copy(result), copy.deepcopy(result)):
+        assert clone == fresh and hash(clone) == hash(fresh) and vars(clone) == vars(fresh)
+
+
+TRUSTED_RESULTS = {
+    "divisor_sequence": lambda: [
+        divisor_sequence(f, n, m, weights)
+        for f in (WEBSTER, ADAMS, HILL, DEAN)
+        for n, m, weights in ((3, 7, (3, 1, 2)), (3, 2, (1, 1, 1)), (1, 4, (2,)), (2, 0, (1, 2)))
+    ],
+    "quota_sequence": lambda: [quota_sequence(3, m, (Fraction(1, 2), 2, 3)) for m in (0, 1, 8)],
+    "round_robin_sequence": lambda: [round_robin_sequence(3, m) for m in (0, 2, 7)],
+    "execute": lambda: [execute(flip_instance(), divisor_sequence(WEBSTER, 3, 5, flip_instance().weights)),
+                        execute(Instance((1, 2), ((), ())), ())],
+    "mwnw.solve": lambda: [solve(flip_instance()), solve(mixed_instance()), solve(Instance((1,), ((),)))],
+    "envy_cycle_eliminate": lambda: [envy_cycle_eliminate(flip_instance()),
+                                     envy_cycle_eliminate(mixed_instance())],
+    "adjusted_winner": lambda: [adjusted_winner(Instance((1, 1), row)) for row in
+                                (((3, 1, 0, 2), (1, 1, 2, 0)), ((), ()))],
+}
+
+
+@pytest.mark.parametrize("results", TRUSTED_RESULTS.values(), ids=list(TRUSTED_RESULTS))
+def test_results_equal_their_validated_constructions(results):
+    for result in results():
+        assert_same_as_validated(result)
 
 
 def test_allocation_partition_invariants():

@@ -257,6 +257,54 @@ def test_sequences_and_comparisons_match_reference_at_benchmark_scale(f):
             ), (t_a, w_a, t_b, w_b)
 
 
+# Tables whose denominators change along the table, so that the key scale
+# of divisor_sequence widens in the middle of a run: 3^t (f(0) = 0), 2 and
+# 10^(3t) in turn, and 10^30 before small ones
+CHANGING_TABLES = [
+    custom([0] + [t + Fraction(1, 3**t) for t in range(1, 40)], tail_offset=Fraction(1, 7)),
+    custom([t + (Fraction(1, 2) if t % 2 == 0 else Fraction(1, 10 ** (3 * t))) for t in range(40)],
+           tail_offset=Fraction(2, 3)),
+    custom([Fraction(1, 10**30), Fraction(3, 2), Fraction(7, 3)], tail_offset=Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("f", CHANGING_TABLES, ids=["3^t", "alternating", "wide-first"])
+def test_sequences_match_reference_on_changing_denominators(f):
+    rng = random.Random(5109)
+    n, m = 10, 100
+    for rational in (False, True, False, True):
+        weights = benchmark_scale_weights(rng, n, rational)
+        assert divisor_sequence(f, n, m, weights) == reference.divisor_sequence(f, n, m, weights), weights
+    # two agents far apart in weight reach counts deep into the table
+    for weights in ((1, 40), (Fraction(5_000_000), Fraction(10_000))):
+        assert divisor_sequence(f, 2, 40, weights) == reference.divisor_sequence(f, 2, 40, weights)
+
+
+def test_near_tie_after_the_key_scale_widens():
+    # f(1)/2 and f(0)/1, then f(2)/2 and f(1)/1, differ by 10^-20 / 2: the
+    # keys separate them only at the scale of f(1)'s denominator
+    f = custom([Fraction(1, 2), 1 + Fraction(1, 10**20), 2 + Fraction(3, 10**20)], tail_offset=1)
+    seq = divisor_sequence(f, 2, 6, (2, 1))
+    assert seq.turns == (0, 1, 0, 1, 0, 0)
+    assert seq == reference.divisor_sequence(f, 2, 6, (2, 1))
+
+
+ZERO_AT_ZERO = [f for f in FAMILIES + CHANGING_TABLES[:1] if f.order_form(0)[0] == 0]
+
+
+@pytest.mark.parametrize("f", ZERO_AT_ZERO, ids=family_id)
+def test_zero_opening_matches_reference(f):
+    # f(0) = 0: each agent picks once, in index order, before any picks twice
+    rng = random.Random(5110)
+    # two p/q denominators below 10^3 cannot reach an lcm above 10^6
+    for n, rational in ((2, False), (3, False), (3, True), (10, False), (10, True)):
+        weights = benchmark_scale_weights(rng, n, rational)
+        for m in (n - 1, n, n + 1):
+            seq = divisor_sequence(f, n, m, weights)
+            assert seq.turns[:n] == tuple(range(min(n, m)))
+            assert seq == reference.divisor_sequence(f, n, m, weights), (n, m, weights)
+
+
 COMPARED_RULES = [divisor_rule(f) for f in TRADITIONAL.values()] + [
     Rule(kind) for kind in RULE_KINDS if kind != "divisor"
 ]
