@@ -18,7 +18,9 @@ sorted from them) on first use and keeps it, so every layer that reads one
 instance shares one conversion; ``allocation_utilities`` sums the scaled
 rows and divides once per agent.  ``add_item``, ``add_agent`` and
 ``replace_weight`` extend the parent's view and check only the values they
-add.  The view takes no part in equality, hashing, ``repr`` or pickling.
+add.  The view takes no part in equality, hashing, ``repr`` or pickling,
+and neither does the one allocation's bundle values that
+``fairness.check_allocation`` keeps on the instance.
 
 Agents and items are 0-indexed in code and 1-indexed in serialized
 documents and CLI output.
@@ -117,6 +119,12 @@ class Instance:
     utilities: tuple[tuple[Fraction, ...], ...]
     agent_names: tuple[str, ...] | None = None
     item_names: tuple[str, ...] | None = None
+
+    # ``fairness.check_allocation``'s bundle values for the allocation it
+    # checked last on this instance.  Like the views, it is set in the
+    # instance's __dict__ and takes no part in equality, hashing, ``repr``,
+    # pickling or copies.
+    _allocation_table = None
 
     def __post_init__(self):
         weights = tuple(_as_rational(w) for w in self.weights)
@@ -287,10 +295,7 @@ class Allocation:
         return len(self.bundles)
 
     def items(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for b in self.bundles:
-            out |= b
-        return out
+        return frozenset().union(*self.bundles)
 
     def validate_for(self, instance: Instance) -> None:
         """Raise unless this is a partition of the instance's item set."""

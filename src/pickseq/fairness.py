@@ -66,6 +66,48 @@ def _check_notion(notion: str) -> str:
     return notion
 
 
+class _BundleValues:
+    """What the allocation checks read of one allocation on one instance.
+
+    ``own()`` lists each agent's scaled value for her own bundle: all that
+    WPROP1 reads of the bundles.  ``envied(i)`` is agent i's own value and
+    the bundles she envies outright, in index order, as (j, value of bundle
+    j, value of its most valued item), all on row i: what WEF1 and WWEF1
+    read.  Each part is built on its first use, so WPROP1 builds no envy
+    row, and an envy check that fails at agent i builds no later row.
+    """
+
+    __slots__ = ("allocation", "readers", "rows", "weights", "owns", "envy")
+
+    def __init__(self, instance: Instance, allocation: Allocation):
+        allocation.validate_for(instance)
+        self.allocation = allocation
+        self.readers = [bundle_reader(b) for b in allocation.bundles]
+        self.rows = instance.scaled_utilities[1]
+        self.weights = instance.scaled_weights
+        self.owns: list[int] | None = None
+        self.envy: list[tuple[int, list[tuple[int, int, int]]] | None] = [None] * len(self.rows)
+
+    def own(self) -> list[int]:
+        if self.owns is None:
+            self.owns = [sum(read(row)) for read, row in zip(self.readers, self.rows)]
+        return self.owns
+
+    def envied(self, i: int) -> tuple[int, list[tuple[int, int, int]]]:
+        envy = self.envy[i]
+        if envy is None:
+            row, weights = self.rows[i], self.weights
+            parts = [read(row) for read in self.readers]
+            values = list(map(sum, parts))
+            own, w_i, pairs = values[i], weights[i], []
+            for j, their in enumerate(values):
+                # outright envy: never so for j == i or an empty bundle j
+                if own * weights[j] < their * w_i:
+                    pairs.append((j, their, max(parts[j])))
+            envy = self.envy[i] = own, pairs
+        return envy
+
+
 def check_allocation(
     notion: str, instance: Instance, allocation: Allocation
 ) -> FairnessVerdict:
@@ -79,23 +121,29 @@ def check_allocation(
     Every inequality weighs agent i's values against agent i's values, so
     it is decided in integers: on the rows of ``scaled_utilities`` (agent
     i's scaled by s_i) and the instance's ``scaled_weights``.  Each row's
-    values on each bundle are read by one ``core.bundle_reader`` call; the
-    most valued item of bundle j is looked for only when i envies j
-    outright, and its index only for the witness.  WPROP1's best item
-    outside agent i's bundle is the first of her ``preference_orders`` not
-    in it.  The witness divides back by s_i and the weights.
+    values on each bundle are read by one ``core.bundle_reader`` call.  The
+    instance keeps these bundle values for the allocation object it was
+    last checked with, so checking several notions on one allocation
+    validates it and reads its bundles once: WPROP1 reads each agent's own
+    value, and WEF1 and WWEF1 walk only the pairs (i, j) where i envies j
+    outright, with the value of the item of bundle j that i values most.
+    That item's index is looked for only for the witness.  WPROP1's best
+    item outside agent i's bundle is the first of her ``preference_orders``
+    not in it.  The witness divides back by s_i and the weights.
     """
     _check_notion(notion)
-    allocation.validate_for(instance)
+    table = instance._allocation_table
+    if table is None or table.allocation is not allocation:
+        # the allocation is validated once per table
+        table = instance.__dict__["_allocation_table"] = _BundleValues(instance, allocation)
     scales, rows = instance.scaled_utilities
     weights = instance.scaled_weights
     bundles = allocation.bundles
-    readers = [bundle_reader(b) for b in bundles]
 
     if notion == "wprop1":
         total_weight = sum(weights)
-        for i, (row, order) in enumerate(zip(rows, instance.preference_orders)):
-            own, mine = sum(readers[i](row)), bundles[i]
+        for i, (row, order, own) in enumerate(zip(rows, instance.preference_orders, table.own())):
+            mine = bundles[i]
             best_outside = next((row[g] for g in order if g not in mine), 0)
             # own < w_i/W * everything - best_outside, times s_i * W
             rhs = weights[i] * sum(row) - best_outside * total_weight
@@ -111,16 +159,10 @@ def check_allocation(
                 )
         return FairnessVerdict(notion, True)
 
-    for i, row in enumerate(rows):
-        parts = [read(row) for read in readers]
-        value = list(map(sum, parts))
-        own, w_i = value[i], weights[i]
-        for j, their in enumerate(value):
+    for i, (row, w_i) in enumerate(zip(rows, weights)):
+        own, envied = table.envied(i)
+        for j, their, drop in envied:
             w_j = weights[j]
-            # no envy at all (always so for j == i and for an empty bundle j)
-            if own * w_j >= their * w_i:
-                continue
-            drop = max(parts[j])
             # own/w_i >= (their - drop)/w_j, times s_i and the weights' scale
             if own * w_j >= (their - drop) * w_i:
                 continue

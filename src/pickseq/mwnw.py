@@ -138,10 +138,12 @@ def solve(
       the n leaves it would save);
     - a state (next item, utilities so far) entered before, above the last
       two items;
-    - item j given to an agent a > 0 who values it at 0: each leaf under
-      that branch is componentwise at most the matching leaf under "item j
-      to agent 0", visited earlier, so its support is a subset and its
-      product on an equal support no larger.
+    - item j given to an agent who values it at 0 when another agent b
+      values it: each leaf under that branch is strictly beaten by the same
+      leaf with j given to b, whose support is larger when b is outside it
+      and otherwise equal with a larger product (e_b > 0), so it is neither
+      the optimum nor tied with it.  An item nobody values goes to agent 0
+      only, as the lexicographic tie-break would give it.
 
     A leaf is ranked by (support size, sorted support, product) as
     ``WelfareScore.compare`` ranks it, on integer products.  The bit length
@@ -170,8 +172,9 @@ def solve(
         )
 
     cols = list(zip(*rows))  # cols[j][i]: agent i's value for item j
-    # picks[j]: the (agent, value) branches of item j, without the dominated ones
-    picks = [[(a, u) for a, u in enumerate(col) if u or not (prune and a)] for col in cols]
+    # picks[j]: the (agent, value) branches of item j, without the dominated
+    # ones: only its valuers, or agent 0 when nobody values it
+    picks = [[(a, u) for a, u in enumerate(col) if u or not prune] or [(0, 0)] for col in cols]
     # rest[j][i]: agent i's scaled utility for all items from j onward
     rest = [[0] * n for _ in range(m + 1)]
     for j in range(m - 1, -1, -1):

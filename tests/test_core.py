@@ -26,7 +26,7 @@ from pickseq.core import (
 )
 from pickseq.baselines import adjusted_winner, envy_cycle_eliminate, round_robin_sequence
 from pickseq.executor import execute
-from pickseq.fairness import check_quota_bounds, check_sequence, zero_one_instance
+from pickseq.fairness import check_allocation, check_quota_bounds, check_sequence, zero_one_instance
 from pickseq.harness import compare_weight, random_instance
 from pickseq.methods import (
     ADAMS,
@@ -158,12 +158,17 @@ def test_filled_integer_view_leaves_equality_hash_repr_and_pickle_unchanged():
     before = (repr(warm), hash(warm), pickle.dumps(warm), copy.copy(warm), copy.deepcopy(warm))
     warm.scaled_utilities
     warm.scaled_weights, warm.preference_orders
+    # check_allocation's table for one allocation, filled for every notion
+    allocation = Allocation((frozenset({1}), frozenset({0}), frozenset({2})))
+    for notion in ("wef1", "wwef1", "wprop1"):
+        check_allocation(notion, warm, allocation)
+    assert vars(warm)["_allocation_table"].allocation is allocation
     assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
     assert (repr(warm), hash(warm), pickle.dumps(warm), copy.copy(warm), copy.deepcopy(warm)) == before
     assert pickle.dumps(warm) == pickle.dumps(cold)
     for clone in (pickle.loads(pickle.dumps(warm)), copy.copy(warm), copy.deepcopy(warm)):
         assert clone == warm and "scaled_utilities" not in vars(clone)
-        assert "preference_orders" not in vars(clone)
+        assert "preference_orders" not in vars(clone) and "_allocation_table" not in vars(clone)
         assert (clone.scaled_weights, clone.scaled_utilities) == fresh_view(warm)
         assert clone.preference_orders == fresh_orders(warm)
 

@@ -7,6 +7,7 @@ Sequences and allocations must be equal, verdicts equal as whole values
 and t), and monotonicity reports equal field for field.
 """
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -209,6 +210,77 @@ def test_allocation_verdicts_match_reference():
                 ), (notion, inst, allocation)
 
 
+def shared_table_cases(rng, count):
+    """Instances of 2..5 agents with one random and one picked allocation
+    each, many of which fail at an early agent and so leave the envy rows of
+    the instance's table partly built."""
+    for _ in range(count):
+        inst = draw_instance(rng, 5, 9)
+        while inst.n < 2:
+            inst = draw_instance(rng, 5, 9)
+        yield inst, random_allocation(rng, inst.n, inst.m)
+        yield inst, execute(inst, [rng.randrange(inst.n) for _ in range(inst.m)])
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(NOTIONS)), ids="-".join)
+def test_shared_allocation_table_matches_reference_in_every_notion_order(order):
+    # each notion twice in a row, on the table the previous notions left
+    failed = Counter()
+    for inst, allocation in shared_table_cases(random.Random(5114), 150):
+        for notion in order:
+            expected = reference.check_allocation(notion, inst, allocation)
+            failed[notion] += not expected.holds
+            for _ in range(2):
+                assert check_allocation(notion, inst, allocation) == expected, (notion, inst, allocation)
+    assert min(failed.values()) >= 30
+
+
+def test_shared_allocation_table_with_one_allocation_on_two_instances():
+    # one allocation object checked on two instances in turn: each instance
+    # keeps its own table
+    rng = random.Random(5115)
+    for first, allocation in shared_table_cases(rng, 150):
+        second = Instance(draw_weights(rng, first.n), tuple(draw_values(rng, first.m) for _ in range(first.n)))
+        for notion in NOTIONS * 2:
+            for inst in (first, second):
+                assert check_allocation(notion, inst, allocation) == reference.check_allocation(
+                    notion, inst, allocation
+                ), (notion, inst, allocation)
+
+
+def test_shared_allocation_table_with_an_equal_but_distinct_allocation():
+    rng = random.Random(5116)
+    for inst, allocation in shared_table_cases(rng, 150):
+        twin = Allocation(allocation.bundles)
+        assert twin == allocation and twin is not allocation
+        for notion in NOTIONS:
+            expected = reference.check_allocation(notion, inst, allocation)
+            assert check_allocation(notion, inst, allocation) == expected
+            assert check_allocation(notion, inst, twin) == expected
+            assert check_allocation(notion, inst, allocation) == expected
+
+
+def test_invalid_allocation_raises_on_every_call():
+    inst = Instance((1, 2, Fraction(1, 3)), ((1, 2, 3, 4), (4, 3, 2, 1), (0, 5, 0, 5)))
+    valid = Allocation((frozenset({0}), frozenset({1, 2}), frozenset({3})))
+    invalid = [
+        Allocation((frozenset({0}), frozenset({1, 2}), frozenset())),          # item 3 missing
+        Allocation((frozenset({0}), frozenset({1, 2}), frozenset({3, 4}))),    # no item 4
+        Allocation((frozenset({0, 1, 2, 3}), frozenset())),                    # two bundles
+    ]
+    for warm in (False, True):
+        if warm:
+            # a valid allocation's table is cached on the instance first
+            for notion in NOTIONS:
+                check_allocation(notion, inst, valid)
+        for allocation in invalid:
+            for notion in NOTIONS * 2:
+                with pytest.raises(ValueError):
+                    check_allocation(notion, inst, allocation)
+        for notion in NOTIONS:
+            assert check_allocation(notion, inst, valid) == reference.check_allocation(notion, inst, valid)
+
+
 def test_allocation_utilities_match_bundle_utility_sums():
     # the integer view, divided once per agent, against Fraction additions
     rng = random.Random(5109)
@@ -233,13 +305,23 @@ def test_execute_and_envy_edges_match_reference():
 
 def benchmark_scale_weights(rng, n, rational):
     """Vote-count integers in [10^4, 5*10^6], or p/q weights whose
-    denominators have an lcm above 10^6."""
+    denominators have an lcm above 10^6.  Rational weights need n >= 3: two
+    denominators of at most 999 have an lcm of at most 997,002."""
     if not rational:
         return tuple(Fraction(rng.randint(10_000, 5_000_000)) for _ in range(n))
+    if n < 3:
+        raise ValueError("rational benchmark-scale weights need at least 3 agents")
     while True:
         weights = tuple(Fraction(rng.randint(1, 10_000), rng.randint(100, 999)) for _ in range(n))
         if math.lcm(*(w.denominator for w in weights)) > 10**6:
             return weights
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rational_benchmark_scale_weights_refuse_fewer_than_three_agents(n):
+    with pytest.raises(ValueError, match="at least 3 agents"):
+        benchmark_scale_weights(random.Random(0), n, rational=True)
+    assert len(benchmark_scale_weights(random.Random(0), n, rational=False)) == n
 
 
 @pytest.mark.parametrize("f", FAMILIES, ids=family_id)

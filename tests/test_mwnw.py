@@ -157,19 +157,33 @@ def test_pruned_and_unpruned_match_reference_on_zero_heavy_rows():
     assert partial_supports >= 50
 
 
-def test_zero_row_instance_solves_quickly():
-    # agent 1 values nothing: every branch handing it an item is dominated
-    # by handing that item to agent 0 instead
+# the unpruned enumeration's allocation of the 4 x 10 instance below with
+# its all-zero row at each position (prune=False takes about 3.5 s each)
+ZERO_ROW_OPTIMA = [
+    ((), (0, 4, 7), (3, 5, 6, 8), (1, 2, 9)),
+    ((0, 1, 4, 7), (), (3, 5, 6, 8), (2, 9)),
+    ((0, 1, 3, 4, 7, 8), (6,), (), (2, 5, 9)),
+    ((0, 3, 4, 7, 8), (6,), (1, 2, 5, 9), ()),
+]
+
+
+@pytest.mark.parametrize("zero_row", range(4))
+def test_zero_row_instance_solves_quickly(zero_row):
+    # the agent of the zero row values nothing: every branch handing it an
+    # item someone values is strictly beaten by handing the item to them,
+    # at agent 0 as at any other
     rng = random.Random(5)
     rows = [tuple(rng.randint(0, 10) for _ in range(10)) for _ in range(3)]
-    rows.insert(1, (0,) * 10)
+    rows.insert(zero_row, (0,) * 10)
     inst = Instance((3, 1, 4, 2), tuple(rows))
     start = time.perf_counter()
     alloc = solve(inst)
     assert time.perf_counter() - start < 0.5
-    assert alloc.bundles == (
-        frozenset({0, 1, 4, 7}), frozenset(), frozenset({3, 5, 6, 8}), frozenset({2, 9})
-    )
+    assert alloc.bundles == tuple(map(frozenset, ZERO_ROW_OPTIMA[zero_row]))
+    # the full unpruned enumeration is too slow for every run: compare it
+    # live on the first eight items
+    short = Instance(inst.weights, tuple(row[:8] for row in rows))
+    assert solve(short) == solve(short, prune=False)
 
 
 def test_pruned_and_unpruned_identical_with_many_agents():
