@@ -74,9 +74,11 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 
 def _parse_weights(text: str) -> tuple[Fraction, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in text.split(",")]
+    if parts == [""]:
         raise ParseError("weights", "expected a comma-separated list")
+    if "" in parts:
+        raise ParseError("weights", f"entry {parts.index('') + 1} of {len(parts)} is empty")
     if len(parts) > MAX_AGENTS:
         raise ParseError("weights", f"at most {MAX_AGENTS} agents are supported, got {len(parts)}")
     return tuple(parse_rational(p, "weights") for p in parts)

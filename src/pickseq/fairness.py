@@ -29,7 +29,7 @@ from .core import (
     integer_weights,
     turns_of,
 )
-from .methods import DivisorFunction, PrecisionError, form_key
+from .methods import DivisorFunction, compare_forms, exact_form
 
 NOTIONS = ("wef1", "wwef1", "wprop1")
 
@@ -280,9 +280,9 @@ def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
 
     This single-variable condition characterizes the divisor functions
     whose picking sequences guarantee wwef1.  Both inequalities are decided
-    in integers, by the order keys (``methods.form_key``) that
-    ``compare_scores`` compares; a family without an order form raises
-    ``PrecisionError``.
+    in integers: c1*x1 > c2*x2 is x1/c2 > x2/c1, the comparison of two
+    order forms (``methods.compare_forms``) that ``compare_scores`` makes;
+    a family without an order form raises ``PrecisionError``.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -293,25 +293,18 @@ def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:
         assert num is not None and den is not None and den > 0
         return num / den
 
-    def exceeds(c1: int, form1, c2: int, form2) -> bool:
-        """c1*x1 > c2*x2 for positive integers c1, c2, where form1 and form2
-        are the order forms of the values x1 and x2 of f: x1/c2 > x2/c1."""
-        if form1 is None or form2 is None:
-            raise PrecisionError(f.name)
-        return form_key(form2, c1) < form_key(form1, c2)
-
-    current = f.order_form(0)
+    current = exact_form(f, 0)
     for t in range(t_max + 1):
-        following = f.order_form(t + 1)
+        following = exact_form(f, t + 1)
         # left:  t * f(t+1) <= (t+1) * f(t), which holds trivially at t = 0
-        if t > 0 and exceeds(t, following, t + 1, current):
+        if t > 0 and compare_forms(following, t + 1, current, t) > 0:
             return FairnessVerdict(
                 "wwef1",
                 False,
                 Witness(lhs=ratio(t), rhs=Fraction(t, t + 1), t=t),
             )
         # right: (t+2) * f(t) <= (t+1) * f(t+1)
-        if exceeds(t + 2, current, t + 1, following):
+        if compare_forms(current, t + 1, following, t + 2) > 0:
             return FairnessVerdict(
                 "wwef1",
                 False,

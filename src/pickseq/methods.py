@@ -7,13 +7,14 @@ t <= f(t) <= t+1.  The quota method restricts the Jefferson rule
 
 Scores compare through the exact order form of f(t), a power of f(t)
 that clears any root, on weights scaled to integers by one common factor.
-Two scores compare as an ``OrderKey`` fraction each (``DivisorFunction.key``,
-used by ``compare_scores`` and the WWEF1 divisor condition).  The generator
-puts all scores of one call on one integer scale instead, so that its heap
-compares plain ints in C; when f(0) = 0 every agent picks once, in index
-order, before the heap starts.  Power means with a non-integer, non-zero
-exponent have no exact form and raise ``PrecisionError``.  What depends on
-a kind is read from ``DIVISOR_FAMILIES`` and ``RULE_KINDS``.
+Two scores compare by one cross-multiplication of their forms
+(``compare_forms``), shared by ``compare_scores`` and the WWEF1 divisor
+condition.  The generator keeps its own path: it puts all scores of one
+call on one integer scale, as floor keys at one power of two, so that its
+heap compares plain ints in C; when f(0) = 0 every agent picks once, in
+index order, before the heap starts.  Power means with a non-integer,
+non-zero exponent have no exact form and raise ``PrecisionError``.  What
+depends on a kind is read from ``DIVISOR_FAMILIES`` and ``RULE_KINDS``.
 """
 
 from __future__ import annotations
@@ -88,19 +89,8 @@ class DivisorFunction:
             return None
         return Fraction(form[0], form[1])
 
-    def key(self, t: int, w: int) -> "OrderKey":
-        """Order key of f(t)/w for an agent with integer weight w > 0.
 
-        With the form (num, den, e), the key is num/(den*w^e) when e > 0 and
-        -num*w^|e|/den when e < 0, and f(t) = 0 gives the least key.  Every
-        form of one function with f(t) > 0 has the same e, so keys of
-        weights that share one scale (``core.integer_weights``) order
-        exactly as the scores do.
-        """
-        return form_key(_form(self, t), w)
-
-
-def _form(f: DivisorFunction, t: int) -> tuple[int, int, int]:
+def exact_form(f: DivisorFunction, t: int) -> tuple[int, int, int]:
     """f's order form at t; ``PrecisionError`` when it has none."""
     form = f.order_form(t)
     if form is None:
@@ -108,30 +98,26 @@ def _form(f: DivisorFunction, t: int) -> tuple[int, int, int]:
     return form
 
 
-def form_key(form: tuple[int, int, int], w: int) -> "OrderKey":
-    """The order key of x/w, for x with the order form (num, den, e)."""
-    num, den, e = form
-    if num == 0:
-        return OrderKey(-1, 0)
-    if e > 0:
-        return OrderKey(num, den * w**e)
-    return OrderKey(-num * w**-e, den)
+def compare_forms(form_a: tuple, w_a: int, form_b: tuple, w_b: int) -> int:
+    """Exact order of x_a/w_a versus x_b/w_b: -1, 0, or 1, for two values of
+    one divisor function given by their order forms (num, den, e) and
+    positive integer weights w_a, w_b on one scale (``core.integer_weights``).
 
-
-class OrderKey:
-    """The integer fraction num/den (den >= 0) of one agent's score, for
-    comparing two scores (``compare_scores``, ``fairness``'s WWEF1 divisor
-    condition).  Keys compare by cross-multiplying.  (-1, 0), the key of
-    f(t) = 0, is below every key with den > 0 under the same product test.
+    x/w orders as num/(den*w^e), reversed when e < 0, so the two sides
+    cross-multiply to num_a*den_b*w_b^e against num_b*den_a*w_a^e, swapped
+    (and with |e|) when e < 0.  Every form with num > 0 of one function has
+    the same e.  A zero value (num == 0) sits below every other and ties
+    with another zero.
     """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int):
-        self.num, self.den = num, den
-
-    def __lt__(self, other: "OrderKey") -> bool:
-        return self.num * other.den < other.num * self.den
+    num_a, den_a, e = form_a
+    num_b, den_b, _ = form_b
+    if num_a == 0 or num_b == 0:
+        return (num_a != 0) - (num_b != 0)
+    if e > 0:
+        a, b = num_a * den_b * w_b**e, num_b * den_a * w_a**e
+    else:
+        a, b = num_b * den_a * w_b**-e, num_a * den_b * w_a**-e
+    return (a > b) - (a < b)
 
 
 def _offset_form(t: int, offset: Fraction) -> tuple[int, int, int]:
@@ -276,8 +262,7 @@ def compare_scores(
     if t_a < 0 or t_b < 0:
         raise ValueError("pick counts must be non-negative")
     w_a, w_b = integer_weights((w_a, w_b))
-    a, b = f.key(t_a, w_a), f.key(t_b, w_b)
-    return (b < a) - (a < b)
+    return compare_forms(exact_form(f, t_a), w_a, exact_form(f, t_b), w_b)
 
 
 def _check_arguments(n: int, m: int, weights: Sequence) -> tuple[int, ...]:
@@ -318,13 +303,13 @@ def divisor_sequence(
     ws = _check_arguments(n, m, weights)
     if n == 1 or m == 0:
         return PickingSequence._trusted((0,) * m)  # no turn compares two scores
-    forms = [_form(f, 0)]
+    forms = [exact_form(f, 0)]
     turns = []
     if forms[0][0] == 0:
         # every score f(0)/w is 0 and every later one positive
         turns = list(range(min(n, m)))
         if m > 1:
-            forms.append(_form(f, 1))  # the agent of the first turn, at count 1
+            forms.append(exact_form(f, 1))  # the agent of the first turn, at count 1
         if m <= n:
             return PickingSequence._trusted(tuple(turns))
     counts = [len(forms) - 1] * n  # every agent holds one count here
@@ -347,7 +332,7 @@ def divisor_sequence(
         turns.append(best)
         t = counts[best] + 1
         if t == len(forms):
-            forms.append(_form(f, t))
+            forms.append(exact_form(f, t))
             if forms[t][1].bit_length() > den_bits:
                 den_bits = max(2 * den_bits, forms[t][1].bit_length())
                 shift = 2 * (den_bits + down_bits)

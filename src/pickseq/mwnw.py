@@ -89,21 +89,15 @@ class WelfareScore:
         return 0
 
 
-def _score_from_utilities(
-    n: int, utilities: tuple[Fraction, ...], exponents: tuple[int, ...]
-) -> WelfareScore:
-    support = frozenset(i for i in range(n) if utilities[i] > 0)
-    product = Fraction(1)
-    for i in support:
-        product *= utilities[i] ** exponents[i]
-    return WelfareScore(n, support, utilities, exponents, product)
-
-
 def score(instance: Instance, allocation: Allocation) -> WelfareScore:
     """The comparable welfare score of an allocation."""
     utilities = allocation_utilities(instance, allocation)
     exponents = weight_exponents(instance.scaled_weights)
-    return _score_from_utilities(instance.n, utilities, exponents)
+    support = frozenset(i for i in range(instance.n) if utilities[i] > 0)
+    product = Fraction(1)
+    for i in support:
+        product *= utilities[i] ** exponents[i]
+    return WelfareScore(instance.n, support, utilities, exponents, product)
 
 
 class _Memo(dict):

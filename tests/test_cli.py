@@ -401,6 +401,28 @@ def test_quota_fairness_agent_with_no_weight_exit_two(capsys):
     assert "sequence references an agent with no weight" in err
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ("1,,2", "weights: entry 2 of 3 is empty"),
+        ("1,2,", "weights: entry 3 of 3 is empty"),
+        (" ,1", "weights: entry 1 of 2 is empty"),
+        (" ", "weights: expected a comma-separated list"),
+    ],
+)
+def test_empty_weight_entry_exit_two(capsys, weights, message):
+    # dropping an empty entry would renumber the agents after it
+    for argv in (
+        ["sequence", "--method", "hill", "--weights", weights, "--turns", "3"],
+        ["fairness", "--notion", "wef1", "--sequence", "[1,2,1]", "--weights", weights],
+        ["consistency", "--kind", "resource", "--method", "hill", "--weights", weights,
+         "--turns", "3"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
+
+
 def run_module(*argv):
     """``python -m pickseq`` in a fresh process: (completed process, wall seconds)."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))

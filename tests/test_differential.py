@@ -76,7 +76,7 @@ def assert_verdicts_match(turns, weights):
 
 
 @pytest.mark.parametrize("f", FAMILIES, ids=family_id)
-def test_keys_order_as_reference_comparison(f):
+def test_compare_scores_matches_reference(f):
     rng = random.Random(5101)
     for _ in range(150):
         t_a, t_b = rng.randint(0, 12), rng.randint(0, 12)
@@ -385,6 +385,25 @@ def test_zero_opening_matches_reference(f):
             seq = divisor_sequence(f, n, m, weights)
             assert seq.turns[:n] == tuple(range(min(n, m)))
             assert seq == reference.divisor_sequence(f, n, m, weights), (n, m, weights)
+
+
+def test_zero_at_zero_covers_negative_exponents():
+    # power means with p = -1 and -2 and a weight strictly inside (0, 1)
+    # have forms with e < 0, the side-swapped cross-multiplication
+    negative = {f.p for f in ZERO_AT_ZERO if f.kind == "powermean" and f.order_form(1)[2] < 0}
+    assert negative == {-1, -2}
+
+
+@pytest.mark.parametrize("f", ZERO_AT_ZERO, ids=family_id)
+def test_zero_scores_tie_and_sit_below_positive_scores(f):
+    # f(0)/w ties f(0)/w' whatever the weights, and stays below f(1)/w' even
+    # where w' is a million times w
+    for w_a, w_b in ((1, 1), (1, 2), (7, 3), (Fraction(1, 3), Fraction(5, 7)), (1, 10**6)):
+        assert compare_scores(f, 0, w_a, 0, w_b) == 0, (w_a, w_b)
+        assert compare_scores(f, 0, w_b, 0, w_a) == 0, (w_b, w_a)
+    for w_a, w_b in ((1, 10**6), (10**6, 1)):
+        assert compare_scores(f, 0, w_a, 1, w_b) == -1, (w_a, w_b)
+        assert compare_scores(f, 1, w_b, 0, w_a) == 1, (w_b, w_a)
 
 
 COMPARED_RULES = [divisor_rule(f) for f in TRADITIONAL.values()] + [

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,6 +6,7 @@ from itertools import product
 import pytest
 
 from pickseq.core import Instance, PickingSequence
+from pickseq.fairness import NOTIONS
 from pickseq.harness import (
     MONOTONICITY_KINDS,
     PERTURBATIONS,
@@ -26,6 +28,7 @@ from pickseq.methods import (
     divisor_rule,
     divisor_sequence,
     quota_sequence,
+    rule_from_name,
 )
 
 from seq_oracles import population_closure, weight_closure
@@ -346,3 +349,24 @@ def test_scan_rejects_fixed_agent_count_mismatch(prop, max_n):
     # below two would otherwise fail mid-scan or be silently overridden
     with pytest.raises(ValueError, match="exactly 2 agents"):
         scan(Rule("adjusted_winner"), prop, max_n=max_n, trials=10, seed=0)
+
+
+# sha256 of the reprs of 236 seeded scans, 80 of which find a violation
+SCAN_REPORTS_DIGEST = "7645c401dca010ca5e5f48225db5d7889df7f7f7530ee51d1506bb00846e92bd"
+SCANNED_RULES = ("adams", "jefferson", "webster", "hill", "dean", "quota", "rr", "mwnw", "ecycle", "aw")
+
+
+def test_scan_reports_are_unchanged():
+    # every report field, witness and perturbation of every rule and
+    # property, so that a change to a generator, verifier, rule or draw that
+    # alters one report shows here
+    digest, found = hashlib.sha256(), 0
+    for name in SCANNED_RULES:
+        for prop in NOTIONS + MONOTONICITY_KINDS:
+            if (name, prop) == ("aw", "population"):
+                continue  # adjusted winner runs on exactly two agents
+            for seed in range(4):
+                report = scan(rule_from_name(name), prop, max_n=3, max_m=6, trials=40, seed=seed)
+                found += report is not None
+                digest.update(repr(report).encode())
+    assert (found, digest.hexdigest()) == (80, SCAN_REPORTS_DIGEST)
