@@ -14,12 +14,10 @@ import json
 import sys
 from fractions import Fraction
 
-from . import repro
 from .core import (
     Allocation,
     Instance,
     ParseError,
-    PickingSequence,
     allocation_utilities,
     format_rational,
     instance_to_document,
@@ -58,7 +56,8 @@ from .mwnw import DEFAULT_BUDGET, BudgetExceededError, solve
 MAX_TURNS = 10_000
 MAX_AGENTS = 1_000
 # Upper bounds on `scan`'s --trials, --max-n and --max-m: the slowest scan
-# they admit, MWNW weight monotonicity, finds nothing in 24-31 s.
+# they admit, MWNW weight monotonicity, finds nothing in 9-11 s (README,
+# "Input bounds").
 MAX_SCAN_BOUNDS = {"trials": 5_000, "max_n": 4, "max_m": 8}
 # Upper bound on --budget for `mwnw` and `allocate`: the n^m assignments
 # that `mwnw.solve` may search.  The README's "Input bounds" gives the
@@ -84,18 +83,19 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p, "weights") for p in parts)
 
 
-def turn_count(text: str) -> int:
-    turns = int(text)
-    if turns > MAX_TURNS:
-        raise argparse.ArgumentTypeError(f"at most {MAX_TURNS} turns are supported, got {turns}")
-    return turns
+def _at_most(cap: int, refusal: str, name: str = "int"):
+    """The argparse type of an integer flag of at most ``cap``.  Above it,
+    argparse exits 2 with ``refusal`` formatted with ``cap`` and ``got``;
+    ``name`` is the type its "invalid <name> value" message names."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(refusal.format(cap=cap, got=value))
+        return value
 
-def budget(text: str) -> int:
-    value = int(text)
-    if value > MAX_BUDGET:
-        raise argparse.ArgumentTypeError(f"at most {MAX_BUDGET} assignments are supported, got {value}")
-    return value
+    parse.__name__ = name
+    return parse
 
 
 def _load_text_or_file(arg: str) -> str:
@@ -104,18 +104,6 @@ def _load_text_or_file(arg: str) -> str:
         return stripped
     with open(arg, "r", encoding="utf-8") as handle:
         return handle.read()
-
-
-def _load_instance(arg: str) -> Instance:
-    return parse_instance(_load_text_or_file(arg))
-
-
-def _load_sequence(arg: str) -> PickingSequence:
-    return parse_sequence(_load_text_or_file(arg))
-
-
-def _load_allocation(arg: str) -> Allocation:
-    return parse_allocation(_load_text_or_file(arg))
 
 
 def _witness_payload(verdict: FairnessVerdict) -> dict | None:
@@ -134,8 +122,6 @@ def _witness_payload(verdict: FairnessVerdict) -> dict | None:
         payload["prefix"] = w.prefix
     if w.removed is not None:
         payload["removed"] = sorted(g + 1 for g in w.removed)
-    if w.t is not None:
-        payload["t"] = w.t
     return payload
 
 
@@ -158,8 +144,6 @@ def _verdict_text(verdict: FairnessVerdict) -> str:
         parts.append(f"(agent {w.agent + 1} vs agent {w.against + 1})")
     elif w.agent is not None:
         parts.append(f"(agent {w.agent + 1})")
-    if w.t is not None:
-        parts.append(f"at t={w.t}")
     parts.append(f"{format_rational(w.lhs)} < {format_rational(w.rhs)}")
     return " ".join(parts)
 
@@ -223,7 +207,7 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_load_text_or_file(args.instance))
     rule = rule_from_name(args.method)
     payload = {"method": rule.name}
     if rule.is_sequence_based:
@@ -241,7 +225,7 @@ def _cmd_fairness(args) -> int:
     if args.sequence is not None:
         if args.weights is None:
             raise ParseError("weights", "required together with --sequence")
-        seq = _load_sequence(args.sequence)
+        seq = parse_sequence(_load_text_or_file(args.sequence))
         weights = _parse_weights(args.weights)
         if args.notion == "quota":
             mode = "every-prefix" if args.every_prefix else "full"
@@ -255,15 +239,15 @@ def _cmd_fairness(args) -> int:
             )
         if args.notion == "quota":
             raise ParseError("notion", "quota bounds apply to sequences, not allocations")
-        instance = _load_instance(args.instance)
-        allocation = _load_allocation(args.allocation)
+        instance = parse_instance(_load_text_or_file(args.instance))
+        allocation = parse_allocation(_load_text_or_file(args.allocation))
         verdict = check_allocation(args.notion, instance, allocation)
     _emit(_verdict_payload(verdict), args.json, _verdict_text(verdict))
     return 0 if verdict.holds else 1
 
 
 def _cmd_mwnw(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_load_text_or_file(args.instance))
     allocation = solve(instance, budget=args.budget)
     payload = _allocation_payload(instance, allocation)
     _emit(payload, args.json, _allocation_text(instance, allocation))
@@ -293,7 +277,7 @@ def _load_perturbation(arg: str, prop: str, instance: Instance) -> tuple:
 
 
 def _cmd_mono(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_load_text_or_file(args.instance))
     rule = rule_from_name(args.rule)
     values = _load_perturbation(args.perturb, args.property, instance)
     report = PERTURBATIONS[args.property].compare(rule, instance, *values)
@@ -324,7 +308,7 @@ def _cmd_consistency(args) -> int:
             agent = (args.new_agent if population else args.agent) - 1
             if agent < 0:
                 raise ParseError(agent_flag, f"must be a 1-indexed agent, got {agent + 1}")
-            base, modified = _load_sequence(args.base), _load_sequence(args.modified)
+            base, modified = (parse_sequence(_load_text_or_file(a)) for a in (args.base, args.modified))
             # the sequences carry no agent count: bound the agent by the
             # largest one they name, plus one new agent that may get no turn
             largest = max(base.turns + modified.turns, default=-1) + 1
@@ -360,9 +344,6 @@ def _cmd_consistency(args) -> int:
 
 def _cmd_scan(args) -> int:
     rule = rule_from_name(args.rule)
-    for name, cap in MAX_SCAN_BOUNDS.items():
-        if getattr(args, name) > cap:
-            raise ValueError(f"scan accepts {name} of at most {cap}, got {getattr(args, name)}")
     report = scan(
         rule,
         args.property,
@@ -405,7 +386,7 @@ def _cmd_scan(args) -> int:
     return 1
 
 
-def _case_payload(result: repro.CaseResult) -> dict:
+def _case_payload(result) -> dict:
     return {
         "id": result.case_id,
         "passed": result.passed,
@@ -415,7 +396,13 @@ def _case_payload(result: repro.CaseResult) -> dict:
     }
 
 
+def _case_line(result) -> str:
+    return f"{result.case_id}: {'pass' if result.passed else 'FAIL ' + str(result.diff)}"
+
+
 def _cmd_repro(args) -> int:
+    from . import repro  # the catalog is built only for this subcommand
+
     if args.list:
         cases = repro.catalog()
         payload = {"cases": [{"id": c.id, "description": c.description} for c in cases]}
@@ -424,16 +411,15 @@ def _cmd_repro(args) -> int:
         return 0
     if args.case is not None:
         result = repro.run_case(args.case)
-        text = f"{result.case_id}: {'pass' if result.passed else 'FAIL ' + str(result.diff)}"
-        _emit(_case_payload(result), args.json, text)
+        _emit(_case_payload(result), args.json, _case_line(result))
         return 0 if result.passed else 1
-    results = [repro.run_case(cid) for cid in (c.id for c in repro.catalog())]
+    results = [repro.run_case(c.id) for c in repro.catalog()]
     all_passed = all(r.passed for r in results)
     payload = {
         "passed": all_passed,
         "cases": [_case_payload(r) for r in results],
     }
-    lines = [f"{r.case_id}: {'pass' if r.passed else 'FAIL ' + str(r.diff)}" for r in results]
+    lines = [_case_line(r) for r in results]
     lines.append(f"total: {sum(r.passed for r in results)}/{len(results)} passed")
     _emit(payload, args.json, "\n".join(lines))
     return 0 if all_passed else 1
@@ -450,15 +436,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="emit a method's picking sequence")
     p.add_argument("--method", required=True)
     p.add_argument("--weights", required=True, help="comma-separated rationals, e.g. 2,1 or 9/18,5/18")
-    p.add_argument("--turns", required=True, type=turn_count)
-    p.add_argument("--json", action="store_true")
+    turns = _at_most(MAX_TURNS, "at most {cap} turns are supported, got {got}", "turn_count")
+    p.add_argument("--turns", required=True, type=turns)
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("allocate", help="run a rule on an instance file")
     p.add_argument("--method", required=True)
     p.add_argument("--instance", required=True, help="instance file or inline JSON")
+    budget = _at_most(MAX_BUDGET, "at most {cap} assignments are supported, got {got}", "budget")
     p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_allocate)
 
     p = sub.add_parser("fairness", help="verify a fairness notion")
@@ -470,13 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", choices=["lower", "both"], default="both",
                    help="for --notion quota")
     p.add_argument("--every-prefix", action="store_true", help="for --notion quota")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fairness)
 
     p = sub.add_parser("mwnw", help="exact maximum weighted Nash welfare")
     p.add_argument("--instance", required=True)
     p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mwnw)
 
     p = sub.add_parser("mono", help="compare a rule before and after a perturbation")
@@ -484,30 +468,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--perturb", required=True, help="perturbation file or inline JSON")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mono)
 
     p = sub.add_parser("consistency", help="structural consistency of picking sequences")
     p.add_argument("--kind", required=True, choices=MONOTONICITY_KINDS)
     p.add_argument("--method")
     p.add_argument("--weights")
-    p.add_argument("--turns", type=turn_count)
+    p.add_argument("--turns", type=turns)
     p.add_argument("--agent", type=int, help="1-indexed agent whose weight rose")
     p.add_argument("--new-agent", type=int, help="1-indexed index of the added agent")
     p.add_argument("--new-weight")
     p.add_argument("--base", help="base sequence (file or inline)")
     p.add_argument("--modified", help="comparison sequence (file or inline)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_consistency)
 
     p = sub.add_parser("scan", help="seeded randomized counterexample search")
     p.add_argument("--rule", required=True)
     p.add_argument("--property", required=True, choices=NOTIONS + MONOTONICITY_KINDS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--max-m", type=int, default=8)
-    p.add_argument("--json", action="store_true")
+    for name, default in (("trials", 2000), ("max_n", 3), ("max_m", 8)):
+        refusal = f"scan accepts {name} of at most {{cap}}, got {{got}}"
+        p.add_argument("--" + name.replace("_", "-"), type=_at_most(MAX_SCAN_BOUNDS[name], refusal),
+                       default=default)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("repro", help="replay the documented counterexample catalog")
@@ -515,9 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--list", action="store_true")
     group.add_argument("--case")
     group.add_argument("--all", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_repro)
 
+    # last in every subcommand, as its usage line shows it
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

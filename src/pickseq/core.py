@@ -433,17 +433,12 @@ def parse_instance(document: str | Mapping) -> Instance:
     named_agents = False
     for idx, entry in enumerate(agents):
         field = f"agents[{idx}]"
-        if isinstance(entry, Mapping):
-            w = parse_rational(entry.get("weight"), f"{field}.weight")
-            name = entry.get("name")
-            if name is not None:
-                named_agents = True
-                agent_names.append(str(name))
-            else:
-                agent_names.append(f"agent {idx + 1}")
-        else:
-            w = parse_rational(entry, f"{field}.weight")
-            agent_names.append(f"agent {idx + 1}")
+        if not isinstance(entry, Mapping):
+            entry = {"weight": entry}  # a bare weight
+        w = parse_rational(entry.get("weight"), f"{field}.weight")
+        name = entry.get("name")
+        named_agents = named_agents or name is not None
+        agent_names.append(f"agent {idx + 1}" if name is None else str(name))
         if w.numerator <= 0:
             raise ParseError(f"{field}.weight", "weight must be positive")
         weights.append(w)

@@ -69,43 +69,30 @@ def _check_notion(notion: str) -> str:
 class _BundleValues:
     """What the allocation checks read of one allocation on one instance.
 
-    ``own()`` lists each agent's scaled value for her own bundle: all that
-    WPROP1 reads of the bundles.  ``envied(i)`` is agent i's own value and
-    the bundles she envies outright, in index order, as (j, value of bundle
-    j, value of its most valued item), all on row i: what WEF1 and WWEF1
-    read.  Each part is built on its first use, so WPROP1 builds no envy
-    row, and an envy check that fails at agent i builds no later row.
+    ``owns`` lists each agent's scaled value for her own bundle: all that
+    WPROP1 reads of the bundles.  ``envy[i]`` lists the bundles agent i
+    envies outright, in index order, as (j, value of bundle j, value of its
+    most valued item), all on row i: what WEF1 and WWEF1 read.  The table
+    is built whole, in one pass over the rows, when it is made.
     """
 
-    __slots__ = ("allocation", "readers", "rows", "weights", "owns", "envy")
+    __slots__ = ("allocation", "owns", "envy")
 
     def __init__(self, instance: Instance, allocation: Allocation):
         allocation.validate_for(instance)
         self.allocation = allocation
-        self.readers = [bundle_reader(b) for b in allocation.bundles]
-        self.rows = instance.scaled_utilities[1]
-        self.weights = instance.scaled_weights
-        self.owns: list[int] | None = None
-        self.envy: list[tuple[int, list[tuple[int, int, int]]] | None] = [None] * len(self.rows)
-
-    def own(self) -> list[int]:
-        if self.owns is None:
-            self.owns = [sum(read(row)) for read, row in zip(self.readers, self.rows)]
-        return self.owns
-
-    def envied(self, i: int) -> tuple[int, list[tuple[int, int, int]]]:
-        envy = self.envy[i]
-        if envy is None:
-            row, weights = self.rows[i], self.weights
-            parts = [read(row) for read in self.readers]
+        readers = [bundle_reader(b) for b in allocation.bundles]
+        weights = instance.scaled_weights
+        self.owns: list[int] = []
+        self.envy: list[list[tuple[int, int, int]]] = []
+        for i, (row, w_i) in enumerate(zip(instance.scaled_utilities[1], weights)):
+            parts = [read(row) for read in readers]
             values = list(map(sum, parts))
-            own, w_i, pairs = values[i], weights[i], []
-            for j, their in enumerate(values):
-                # outright envy: never so for j == i or an empty bundle j
-                if own * weights[j] < their * w_i:
-                    pairs.append((j, their, max(parts[j])))
-            envy = self.envy[i] = own, pairs
-        return envy
+            own = values[i]
+            self.owns.append(own)
+            # outright envy: never so for j == i or an empty bundle j
+            self.envy.append([(j, their, max(parts[j])) for j, their in enumerate(values)
+                              if own * weights[j] < their * w_i])
 
 
 def check_allocation(
@@ -142,7 +129,7 @@ def check_allocation(
 
     if notion == "wprop1":
         total_weight = sum(weights)
-        for i, (row, order, own) in enumerate(zip(rows, instance.preference_orders, table.own())):
+        for i, (row, order, own) in enumerate(zip(rows, instance.preference_orders, table.owns)):
             mine = bundles[i]
             best_outside = next((row[g] for g in order if g not in mine), 0)
             # own < w_i/W * everything - best_outside, times s_i * W
@@ -159,9 +146,8 @@ def check_allocation(
                 )
         return FairnessVerdict(notion, True)
 
-    for i, (row, w_i) in enumerate(zip(rows, weights)):
-        own, envied = table.envied(i)
-        for j, their, drop in envied:
+    for i, (row, w_i, own) in enumerate(zip(rows, weights, table.owns)):
+        for j, their, drop in table.envy[i]:
             w_j = weights[j]
             # own/w_i >= (their - drop)/w_j, times s_i and the weights' scale
             if own * w_j >= (their - drop) * w_i:

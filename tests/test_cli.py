@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from pickseq.cli import MAX_AGENTS, MAX_BUDGET, MAX_SCAN_BOUNDS, MAX_TURNS, main
+from pickseq.harness import check_weight_consistency_pair, sequence_for_rule
+from pickseq.methods import rule_from_name
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +85,38 @@ def test_fairness_allocation_mode(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["holds"] is True
+
+
+def test_fairness_allocation_wef1_violation(capsys):
+    # agent 1 holds nothing and envies agent 2's three items even after
+    # removing one: the removed item is the lowest-indexed of equal value
+    argv = ["fairness", "--notion", "wef1",
+            "--instance", '{"agents":[1,1],"items":3,"utilities":[[1,1,1],[1,1,1]]}',
+            "--allocation", '{"bundles":[[],[1,2,3]]}']
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["witness"] == {"agent": 1, "against": 2, "lhs": "0", "rhs": "2",
+                                          "removed": [1]}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "wef1: violated (agent 1 vs agent 2) 0 < 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--notion", "wef1", "--sequence", "[1,2]"], "weights: required together with --sequence"),
+        (["--notion", "wef1", "--instance", INSTANCE_DOC],
+         "arguments: need --instance and --allocation, or --sequence and --weights"),
+        (["--notion", "quota", "--instance", INSTANCE_DOC, "--allocation", '{"bundles":[[1],[2],[3]]}'],
+         "notion: quota bounds apply to sequences, not allocations"),
+    ],
+    ids=["sequence-without-weights", "instance-without-allocation", "quota-on-allocation"],
+)
+def test_fairness_refusals_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, "fairness", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_fairness_quota_bounds(capsys):
@@ -380,6 +414,44 @@ def test_consistency_explicit_pair_agent_at_bound_accepted(capsys, argv, verdict
     assert out.strip().endswith(verdict)
 
 
+@pytest.mark.parametrize("agent, consistent", [(1, True), (3, False)])
+def test_consistency_weight_from_method(capsys, agent, consistent):
+    # the verdict is the pair check on the sequences before and after the
+    # agent's weight rises from the method's own generator
+    code, out, err = run_cli(capsys, "consistency", "--kind", "weight", "--method", "quota",
+                             "--weights", "3,2,1", "--turns", "7", "--agent", str(agent),
+                             "--new-weight", "4", "--json")
+    rule, weights = rule_from_name("quota"), (3, 2, 1)
+    raised = tuple(4 if i == agent - 1 else w for i, w in enumerate(weights))
+    base, modified = (sequence_for_rule(rule, 3, 7, w) for w in (weights, raised))
+    assert check_weight_consistency_pair(base, modified, agent - 1) is consistent
+    assert (code, err) == (0 if consistent else 1, "")
+    assert json.loads(out) == {"kind": "weight", "method": "quota", "consistent": consistent}
+
+
+def test_consistency_weight_from_method_new_weight_not_above_exit_two(capsys):
+    code, out, err = run_cli(capsys, "consistency", "--kind", "weight", "--method", "quota",
+                             "--weights", "3,2,1", "--turns", "7", "--agent", "1", "--new-weight", "3")
+    assert code == 2 and out == ""
+    assert err == "error: new-weight: must exceed the agent's current weight\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "resource"], "resource consistency needs --method, --weights, --turns"),
+        (["--kind", "weight", "--base", "[1,2]"], "weight consistency needs --base, --modified, --agent"),
+        (["--kind", "population", "--method", "quota", "--weights", "1,2"],
+         "population consistency from a method needs --weights, --turns, --new-weight"),
+    ],
+    ids=["resource", "weight-pair", "population-method"],
+)
+def test_consistency_missing_arguments_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, "consistency", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: arguments: {message}\n"
+
+
 def test_consistency_method_agent_out_of_range_exit_two(capsys):
     code, out, err = run_cli(capsys, "consistency", "--kind", "weight", "--method", "quota",
                              "--weights", "1,2", "--turns", "4", "--agent", "3", "--new-weight", "5")
@@ -423,22 +495,42 @@ def test_empty_weight_entry_exit_two(capsys, weights, message):
         assert message in err
 
 
-def run_module(*argv):
-    """``python -m pickseq`` in a fresh process: (completed process, wall seconds)."""
+def run_python(*args):
+    """``python *args`` in a fresh process that imports this checkout's
+    pickseq: (completed process, wall seconds)."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "pickseq", *argv],
-                          capture_output=True, text=True, env=env, timeout=30)
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=30)
     return done, time.perf_counter() - start
+
+
+def run_module(*argv):
+    """``python -m pickseq`` in a fresh process: (completed process, wall seconds)."""
+    return run_python("-m", "pickseq", *argv)
+
+
+def test_only_repro_loads_the_catalog():
+    # the counterexample catalog is imported by the `repro` subcommand alone
+    done, _ = run_python("-c", "\n".join([
+        "import sys",
+        "from pickseq.cli import main",
+        "main(['sequence', '--method', 'jefferson', '--weights', '2,1', '--turns', '3'])",
+        "assert 'pickseq.repro' not in sys.modules, 'sequence loaded the catalog'",
+        "assert main(['repro', '--list']) == 0",
+        "assert 'pickseq.repro' in sys.modules",
+    ]))
+    assert done.returncode == 0, done.stderr
+    first, *cases = done.stdout.splitlines()
+    assert first == "1 1 2" and "p61-mnw-resmon" in "\n".join(cases)
 
 
 @pytest.mark.parametrize("name, value", [("trials", 100_000_000), ("max_n", 5), ("max_m", 9)])
 def test_scan_above_its_bounds_exits_two_quickly(name, value):
-    done, elapsed = run_module("scan", "--rule", "adams", "--property", "wef1",
-                               "--" + name.replace("_", "-"), str(value))
+    flag = "--" + name.replace("_", "-")
+    done, elapsed = run_module("scan", "--rule", "adams", "--property", "wef1", flag, str(value))
     assert done.returncode == 2 and done.stdout == ""
     cap = MAX_SCAN_BOUNDS[name]
-    assert f"scan accepts {name} of at most {cap}, got {value}" in done.stderr
+    assert f"argument {flag}: scan accepts {name} of at most {cap}, got {value}\n" in done.stderr
     assert value > cap and elapsed < 1.0
 
 
