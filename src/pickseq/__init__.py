@@ -28,6 +28,7 @@ from .methods import (
     DEAN,
     HILL,
     JEFFERSON,
+    RULES,
     TRADITIONAL,
     WEBSTER,
     DivisorFunction,
@@ -57,7 +58,6 @@ from .baselines import adjusted_winner, envy_cycle_eliminate, round_robin_sequen
 from .harness import (
     MonotonicityReport,
     ScanReport,
-    apply_rule,
     check_population_consistency_pair,
     check_resource_consistency,
     check_weight_consistency_pair,
@@ -66,7 +66,6 @@ from .harness import (
     compare_weight,
     random_instance,
     scan,
-    sequence_for_rule,
 )
 
 __version__ = "0.1.0"

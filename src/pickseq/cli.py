@@ -39,12 +39,10 @@ from .harness import (
     MONOTONICITY_KINDS,
     PERTURBATIONS,
     MonotonicityReport,
-    apply_rule,
     check_population_consistency_pair,
     check_resource_consistency,
     check_weight_consistency_pair,
     scan,
-    sequence_for_rule,
 )
 from .methods import PrecisionError, rule_from_name
 from .mwnw import DEFAULT_BUDGET, BudgetExceededError, solve
@@ -83,10 +81,11 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p, "weights") for p in parts)
 
 
-def _at_most(cap: int, refusal: str, name: str = "int"):
+def _at_most(cap: int, refusal: str):
     """The argparse type of an integer flag of at most ``cap``.  Above it,
     argparse exits 2 with ``refusal`` formatted with ``cap`` and ``got``;
-    ``name`` is the type its "invalid <name> value" message names."""
+    text that is no integer gets argparse's "invalid int value", as a
+    plain ``type=int`` flag does."""
 
     def parse(text: str) -> int:
         value = int(text)
@@ -94,7 +93,7 @@ def _at_most(cap: int, refusal: str, name: str = "int"):
             raise argparse.ArgumentTypeError(refusal.format(cap=cap, got=value))
         return value
 
-    parse.__name__ = name
+    parse.__name__ = "int"
     return parse
 
 
@@ -200,7 +199,7 @@ def _allocation_text(instance: Instance, allocation: Allocation) -> str:
 def _cmd_sequence(args) -> int:
     weights = _parse_weights(args.weights)
     rule = rule_from_name(args.method)
-    seq = sequence_for_rule(rule, len(weights), args.turns, weights)
+    seq = rule.sequence_for(len(weights), args.turns, weights)
     payload = {"method": rule.name, "turns": [a + 1 for a in seq.turns]}
     _emit(payload, args.json, " ".join(str(a + 1) for a in seq.turns))
     return 0
@@ -210,18 +209,19 @@ def _cmd_allocate(args) -> int:
     instance = parse_instance(_load_text_or_file(args.instance))
     rule = rule_from_name(args.method)
     payload = {"method": rule.name}
-    if rule.is_sequence_based:
-        seq = sequence_for_rule(rule, instance.n, instance.m, instance.scaled_weights)
+    if rule.sequence is not None:
+        seq = rule.sequence(instance.n, instance.m, instance.scaled_weights)
         payload["sequence"] = [a + 1 for a in seq.turns]
         allocation = execute(instance, seq)
     else:
-        allocation = apply_rule(rule, instance, budget=args.budget)
+        allocation = rule.allocate(instance, args.budget)
     payload.update(_allocation_payload(instance, allocation))
     _emit(payload, args.json, _allocation_text(instance, allocation))
     return 0
 
 
 def _cmd_fairness(args) -> int:
+    _one_source(args, ("sequence", "weights"), ("instance", "allocation"))
     if args.sequence is not None:
         if args.weights is None:
             raise ParseError("weights", "required together with --sequence")
@@ -285,19 +285,31 @@ def _cmd_mono(args) -> int:
     return 1 if report.violated else 0
 
 
+def _given(args, *names: str) -> list[str]:
+    return ["--" + name for name in names if getattr(args, name.replace("-", "_")) is not None]
+
+
 def _require(args, what: str, *names: str) -> None:
-    if any(getattr(args, name.replace("-", "_")) is None for name in names):
+    if len(_given(args, *names)) < len(names):
         raise ParseError("arguments", f"{what} needs " + ", ".join("--" + n for n in names))
 
 
+def _one_source(args, first: tuple[str, ...], second: tuple[str, ...]) -> None:
+    """Refuse flags of two input sources given together, rather than read
+    one and silently drop the other."""
+    a, b = _given(args, *first), _given(args, *second)
+    if a and b:
+        raise ParseError("arguments", f"{', '.join(a)} cannot be combined with {', '.join(b)}")
+
+
 def _cmd_consistency(args) -> int:
+    _one_source(args, ("method", "weights", "turns", "new-weight"), ("base", "modified"))
     payload: dict = {"kind": args.kind}
     if args.kind == "resource":
         _require(args, "resource consistency", "method", "weights", "turns")
         weights = _parse_weights(args.weights)
         rule = rule_from_name(args.method)
-        family = lambda n, m, w: sequence_for_rule(rule, n, m, w)
-        consistent = check_resource_consistency(family, len(weights), args.turns, weights)
+        consistent = check_resource_consistency(rule.sequence_for, len(weights), args.turns, weights)
         payload.update({"method": rule.name, "turns": args.turns})
     else:
         # resolve (base, modified, agent) once, from explicit sequences or a method
@@ -333,8 +345,8 @@ def _cmd_consistency(args) -> int:
                 if new_w <= weights[agent]:
                     raise ParseError("new-weight", "must exceed the agent's current weight")
                 changed = weights[:agent] + (new_w,) + weights[agent + 1 :]
-            base = sequence_for_rule(rule, len(weights), args.turns, weights)
-            modified = sequence_for_rule(rule, len(changed), args.turns, changed)
+            base = rule.sequence_for(len(weights), args.turns, weights)
+            modified = rule.sequence_for(len(changed), args.turns, changed)
         check = check_population_consistency_pair if population else check_weight_consistency_pair
         consistent = check(base, modified, agent)
     payload["consistent"] = consistent
@@ -436,14 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="emit a method's picking sequence")
     p.add_argument("--method", required=True)
     p.add_argument("--weights", required=True, help="comma-separated rationals, e.g. 2,1 or 9/18,5/18")
-    turns = _at_most(MAX_TURNS, "at most {cap} turns are supported, got {got}", "turn_count")
+    turns = _at_most(MAX_TURNS, "at most {cap} turns are supported, got {got}")
     p.add_argument("--turns", required=True, type=turns)
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("allocate", help="run a rule on an instance file")
     p.add_argument("--method", required=True)
     p.add_argument("--instance", required=True, help="instance file or inline JSON")
-    budget = _at_most(MAX_BUDGET, "at most {cap} assignments are supported, got {got}", "budget")
+    budget = _at_most(MAX_BUDGET, "at most {cap} assignments are supported, got {got}")
     p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_allocate)
 

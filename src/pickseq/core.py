@@ -82,9 +82,13 @@ def format_rational(q: Fraction) -> str:
 def _as_rational(value: object) -> Fraction:
     """The one conversion of a weight, utility or parameter to an exact
     rational.  A Fraction is returned as it is, since ``Fraction(q)`` for a
-    Fraction q takes the slow ``numbers.Rational`` path; floats raise."""
+    Fraction q takes the slow ``numbers.Rational`` path; a string is read
+    by ``parse_rational``, as ``p/q`` only (``"0.5"`` and ``"1e1"`` raise
+    ``ParseError``); floats raise ``TypeError``."""
     if type(value) is Fraction:
         return value
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, float):
         raise TypeError("floats are banned from the data model; use Fraction")
     return Fraction(value)

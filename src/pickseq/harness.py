@@ -21,32 +21,13 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import mwnw
-from .core import (
-    Allocation, Instance, PickingSequence, _as_rational, allocation_utilities, turns_of,
-)
-from .executor import execute
+from .core import Instance, PickingSequence, _as_rational, allocation_utilities, turns_of
 from .fairness import NOTIONS, FairnessVerdict, check_allocation, check_sequence, zero_one_instance
 from .methods import Rule
 
 # Largest weight and utility that `random_instance` and `scan` draw; `_DRAWN` builds each once.
 MAX_DRAW = 10
 _DRAWN = tuple(map(Fraction, range(MAX_DRAW + 1)))
-
-
-def sequence_for_rule(rule: Rule, n: int, m: int, weights: Sequence) -> PickingSequence:
-    """The picking sequence a sequence-based rule uses at this size."""
-    if not rule.is_sequence_based:
-        raise ValueError(f"rule {rule.name!r} is not sequence-based")
-    return rule.spec.sequence(rule.divisor, n, m, weights)
-
-
-def apply_rule(rule: Rule, instance: Instance, budget: int = mwnw.DEFAULT_BUDGET) -> Allocation:
-    """Run any rule on an instance and return its allocation."""
-    if rule.is_sequence_based:
-        seq = sequence_for_rule(rule, instance.n, instance.m, instance.scaled_weights)
-        return execute(instance, seq)
-    return rule.spec.allocate(instance, budget)
 
 
 @dataclass(frozen=True)
@@ -74,8 +55,8 @@ def _compare(
 ) -> MonotonicityReport:
     """Run the rule on both instances; a tracked agent whose utility after
     the perturbation is ``worse`` than before is a violator."""
-    before = allocation_utilities(base, apply_rule(rule, base))
-    after = allocation_utilities(modified, apply_rule(rule, modified))[: base.n]
+    before = allocation_utilities(base, rule.run(base))
+    after = allocation_utilities(modified, rule.run(modified))[: base.n]
     violators = tuple(i for i in tracked if worse(after[i], before[i]))
     return MonotonicityReport(
         kind, rule.name, before, after, bool(violators), violators, boosted_agent
@@ -289,7 +270,7 @@ def scan(
     for name, value in (("trials", trials), ("max_n", max_n), ("max_m", max_m)):
         if value < 1:
             raise ValueError(f"scan needs {name} >= 1, got {value}")
-    fixed_n = rule.spec.agents
+    fixed_n = rule.agents
     if fixed_n is not None and (property == "population" or max_n < fixed_n):
         raise ValueError(f"rule {rule.name} runs on exactly {fixed_n} agents: scan it with "
                          f"max_n >= {fixed_n} on a property other than population")
@@ -297,11 +278,11 @@ def scan(
     found = partial(ScanReport, rule.name, property, seed, trials, max_n, max_m)
 
     for trial in range(trials):
-        if is_fairness and rule.is_sequence_based:
+        if is_fairness and rule.sequence is not None:
             n = rng.randint(min_n, max_n)
             m = rng.randint(1, max_m)
             weights = random_weights(rng, n)
-            seq = sequence_for_rule(rule, n, m, weights)
+            seq = rule.sequence(n, m, weights)
             verdict = check_sequence(property, seq, weights)
             if not verdict.holds:
                 bridge = zero_one_instance(weights, m, verdict.witness.prefix)
@@ -310,7 +291,7 @@ def scan(
 
         base = random_instance(rng, max_n, max_m, min_n=min_n, n=fixed_n)
         if is_fairness:
-            verdict = check_allocation(property, base, apply_rule(rule, base))
+            verdict = check_allocation(property, base, rule.run(base))
             if not verdict.holds:
                 return found(trial, base, verdict=verdict)
             continue

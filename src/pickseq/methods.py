@@ -14,18 +14,28 @@ call on one integer scale, as floor keys at one power of two, so that its
 heap compares plain ints in C; when f(0) = 0 every agent picks once, in
 index order, before the heap starts.  Power means with a non-integer,
 non-zero exponent have no exact form and raise ``PrecisionError``.  What
-depends on a kind is read from ``DIVISOR_FAMILIES`` and ``RULE_KINDS``.
+depends on a divisor family is read from ``DIVISOR_FAMILIES``.
+
+A ``Rule`` is one record: a picking-sequence generator, which truthful
+picking executes, or an allocation procedure.  ``RULES`` holds the named
+rules under their one CLI name, and ``divisor_rule`` makes the rule of a
+divisor function.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from . import baselines, core, mwnw
-from .core import ParseError, PickingSequence, format_rational, integer_weights, parse_rational
+from .core import (
+    Allocation, Instance, ParseError, PickingSequence, _as_rational, format_rational,
+    integer_weights, parse_rational,
+)
+from .executor import execute
 
 
 class PrecisionError(ValueError):
@@ -34,13 +44,6 @@ class PrecisionError(ValueError):
     def __init__(self, method: str):
         self.method = method
         super().__init__(f"{method} has no exact comparison")
-
-
-def _as_rational(value) -> Fraction:
-    """``core._as_rational``, with strings parsed strictly as 'p/q'."""
-    if isinstance(value, str):
-        return parse_rational(value, "parameter")
-    return core._as_rational(value)
 
 
 @dataclass(frozen=True)
@@ -368,69 +371,56 @@ def quota_sequence(n: int, m: int, weights: Sequence) -> PickingSequence:
     return PickingSequence._trusted(tuple(turns))
 
 
-class RuleKind(NamedTuple):
-    """One rule kind: its CLI name (None: its divisor function names it),
-    ``sequence(f, n, m, weights)`` or else ``allocate(instance, budget)``,
-    and the one agent count the rule is defined for, if any."""
-
-    name: str | None
-    sequence: Callable[..., PickingSequence] | None = None
-    allocate: Callable | None = None
-    agents: int | None = None
-
-
-RULE_KINDS = {
-    "divisor": RuleKind(None, divisor_sequence),
-    "quota": RuleKind("quota", lambda f, n, m, weights: quota_sequence(n, m, weights)),
-    "round_robin": RuleKind("rr", lambda f, n, m, weights: baselines.round_robin_sequence(n, m)),
-    "mwnw": RuleKind("mwnw", allocate=lambda instance, budget: mwnw.solve(instance, budget=budget)),
-    "envy_cycle": RuleKind(
-        "ecycle", allocate=lambda instance, budget: baselines.envy_cycle_eliminate(instance)
-    ),
-    "adjusted_winner": RuleKind(
-        "aw", allocate=lambda instance, budget: baselines.adjusted_winner(instance), agents=2
-    ),
-}
-
-
 @dataclass(frozen=True)
 class Rule:
-    """A named allocation procedure usable by the harness and CLI.
-
-    kind: a key of ``RULE_KINDS``; ``divisor`` names the function of a
-    divisor rule.
+    """A rule of the paper under its one name: a picking-sequence generator
+    ``sequence(n, m, weights)``, which truthful picking executes, or else an
+    allocation procedure ``allocate(instance, budget)``.  ``agents`` is the
+    one agent count the rule is defined for, if any, and ``divisor`` the
+    function of a divisor rule.  Rules compare and hash by name, agent count
+    and divisor function, not by their callables.
     """
 
-    kind: str
+    name: str
+    sequence: Callable[[int, int, Sequence], PickingSequence] | None = field(
+        default=None, compare=False)
+    allocate: Callable[[Instance, int], Allocation] | None = field(default=None, compare=False)
+    agents: int | None = None
     divisor: DivisorFunction | None = None
 
     def __post_init__(self):
-        spec = RULE_KINDS.get(self.kind)
-        if spec is None:
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        if spec.name is None and self.divisor is None:
-            raise ValueError("divisor rule needs a DivisorFunction")
+        if (self.sequence is None) == (self.allocate is None):
+            raise ValueError(f"rule {self.name!r} needs exactly one of a sequence "
+                             "generator and an allocation procedure")
 
-    @property
-    def spec(self) -> RuleKind:
-        return RULE_KINDS[self.kind]
+    def sequence_for(self, n: int, m: int, weights: Sequence) -> PickingSequence:
+        """The picking sequence a sequence rule uses at this size."""
+        if self.sequence is None:
+            raise ValueError(f"rule {self.name!r} is not sequence-based")
+        return self.sequence(n, m, weights)
 
-    @property
-    def name(self) -> str:
-        return self.spec.name or self.divisor.name
+    def run(self, instance: Instance, budget: int = mwnw.DEFAULT_BUDGET) -> Allocation:
+        """The rule's allocation of the instance: its sequence, on the
+        instance's integer weights, executed by truthful picking, or else its
+        allocation procedure."""
+        if self.sequence is None:
+            return self.allocate(instance, budget)
+        return execute(instance, self.sequence(instance.n, instance.m, instance.scaled_weights))
 
-    @property
-    def is_sequence_based(self) -> bool:
-        return self.spec.sequence is not None
+
+RULES = {
+    "quota": Rule("quota", quota_sequence),
+    "rr": Rule("rr", lambda n, m, weights: baselines.round_robin_sequence(n, m)),
+    "mwnw": Rule("mwnw", allocate=mwnw.solve),
+    "ecycle": Rule("ecycle", allocate=lambda instance, budget: baselines.envy_cycle_eliminate(instance)),
+    "aw": Rule("aw", allocate=lambda instance, budget: baselines.adjusted_winner(instance), agents=2),
+}
 
 
 def divisor_rule(f: DivisorFunction) -> Rule:
-    return Rule("divisor", divisor=f)
+    return Rule(f.name, partial(divisor_sequence, f), divisor=f)
 
 
 def rule_from_name(text: str) -> Rule:
     name = text.strip()
-    for kind, spec in RULE_KINDS.items():
-        if spec.name == name:
-            return Rule(kind)
-    return divisor_rule(divisor_from_name(name))
+    return RULES.get(name) or divisor_rule(divisor_from_name(name))

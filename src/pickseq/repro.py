@@ -6,7 +6,7 @@ verdicts.  Running a case recomputes everything through the public modules
 and diffs against the frozen expectation, so any behavioral drift in the
 generators, the executor, the solver, or the verifiers shows up here.
 A monotonicity case is one harness comparison; the sequences or bundles it
-shows come from the rule-generic ``sequence_for_rule`` and ``apply_rule``.
+shows come from the rule's own ``Rule.sequence_for`` and ``Rule.run``.
 
 The matrix certifies each cell one way: a negative cell with a stored
 counterexample replays it (``REFUTED``), and every other cell is one seeded
@@ -22,10 +22,9 @@ from typing import Callable
 
 from .core import Instance, format_rational
 from .fairness import check_allocation, check_sequence
-from .harness import (
-    PERTURBATIONS, apply_rule, check_weight_consistency_pair, scan, sequence_for_rule,
-)
+from .harness import PERTURBATIONS, check_weight_consistency_pair, scan
 from .methods import (
+    RULES,
     TRADITIONAL,
     WEBSTER,
     Rule,
@@ -39,7 +38,7 @@ from .methods import (
 SCAN_SEED = 914
 SCAN_TRIALS = 5000
 
-QUOTA, MWNW = Rule("quota"), Rule("mwnw")
+QUOTA, MWNW = RULES["quota"], RULES["mwnw"]
 
 # Five items, three agents; raising agent 1's weight flips the picking
 # order from (1,2,1,3,1) to (1,1,2,3,1) and costs her 6 utility.
@@ -105,9 +104,9 @@ class NamedCase:
 # What a case may show of the rule's run on each instance, 1-indexed.
 _SHOW = {
     "sequence": lambda rule, inst: [
-        a + 1 for a in sequence_for_rule(rule, inst.n, inst.m, inst.weights).turns
+        a + 1 for a in rule.sequence_for(inst.n, inst.m, inst.weights).turns
     ],
-    "bundles": lambda rule, inst: [sorted(g + 1 for g in b) for b in apply_rule(rule, inst).bundles],
+    "bundles": lambda rule, inst: [sorted(g + 1 for g in b) for b in rule.run(inst).bundles],
 }
 
 
@@ -143,7 +142,7 @@ def _run_weightmon_divisor(method: str) -> dict:
     out = _monotonicity_case(rule, base, "weight", 0, boosted_w1, show="sequence")
     # agent 1's utility restricted to the five flip items
     for suffix, inst in (("base", base), ("boosted", base.replace_weight(0, boosted_w1))):
-        bundle = apply_rule(rule, inst).bundles[0]
+        bundle = rule.run(inst).bundles[0]
         core = sum(base.utilities[0][g] for g in bundle if g >= base.m - 5)
         out[f"core_utility_{suffix}"] = format_rational(core)
     return out
@@ -191,7 +190,7 @@ def _mwnw_fairness_case(weights, utilities, *notions: str) -> dict:
     """The MWNW allocation's bundle sizes, whether it satisfies each notion,
     and the first notion's witness."""
     inst = Instance(weights, utilities)
-    alloc = apply_rule(MWNW, inst)
+    alloc = MWNW.run(inst)
     verdicts = [check_allocation(notion, inst, alloc) for notion in notions]
     witness = verdicts[0].witness
     return {
@@ -218,7 +217,7 @@ def _run_mwnw_wef1() -> dict:
 def _run_ecycle_resmon() -> dict:
     base = Instance((1, 1, 1), ((10, 5, 1), (6, 1, 2), (0, 4, 1)))
     return _monotonicity_case(
-        Rule("envy_cycle"), base, "resource", (11, 1, 0), agent=2, label="agent3_utility"
+        RULES["ecycle"], base, "resource", (11, 1, 0), agent=2, label="agent3_utility"
     )
 
 
@@ -232,7 +231,7 @@ def _run_aw_resmon() -> dict:
         ),
     )
     return _monotonicity_case(
-        Rule("adjusted_winner"), base, "resource", (eps, eps), label="agent1_utility"
+        RULES["aw"], base, "resource", (eps, eps), label="agent1_utility"
     )
 
 

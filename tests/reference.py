@@ -20,7 +20,7 @@ from pickseq.core import (
     Allocation, Instance, PickingSequence, _as_rational, allocation_utilities, bundle_utility,
 )
 from pickseq.fairness import FairnessVerdict, Witness
-from pickseq.harness import MonotonicityReport, apply_rule
+from pickseq.harness import MonotonicityReport
 from pickseq.methods import DivisorFunction, PrecisionError, Rule
 from pickseq.mwnw import WelfareScore, weight_exponents
 
@@ -345,8 +345,8 @@ def mwnw_solve(instance: Instance, prune: bool = True) -> Allocation:
 
 def compare_resource(rule: Rule, base: Instance, extra_item_utilities) -> MonotonicityReport:
     modified = base.add_item(extra_item_utilities)
-    before = allocation_utilities(base, apply_rule(rule, base))
-    after_all = allocation_utilities(modified, apply_rule(rule, modified))
+    before = allocation_utilities(base, rule.run(base))
+    after_all = allocation_utilities(modified, rule.run(modified))
     after = after_all[: base.n]
     violators = tuple(i for i in range(base.n) if after[i] < before[i])
     return MonotonicityReport("resource", rule.name, before, after, bool(violators), violators)
@@ -354,8 +354,8 @@ def compare_resource(rule: Rule, base: Instance, extra_item_utilities) -> Monoto
 
 def compare_population(rule: Rule, base: Instance, new_weight, new_utilities) -> MonotonicityReport:
     modified = base.add_agent(new_weight, new_utilities)
-    before = allocation_utilities(base, apply_rule(rule, base))
-    after = allocation_utilities(modified, apply_rule(rule, modified))[: base.n]
+    before = allocation_utilities(base, rule.run(base))
+    after = allocation_utilities(modified, rule.run(modified))[: base.n]
     violators = tuple(i for i in range(base.n) if after[i] > before[i])
     return MonotonicityReport("population", rule.name, before, after, bool(violators), violators)
 
@@ -367,8 +367,8 @@ def compare_weight(rule: Rule, base: Instance, agent: int, new_weight) -> Monoto
     if new_weight <= base.weights[agent]:
         raise ValueError("weight-monotonicity perturbations must increase the weight")
     modified = base.replace_weight(agent, new_weight)
-    before = allocation_utilities(base, apply_rule(rule, base))
-    after = allocation_utilities(modified, apply_rule(rule, modified))
+    before = allocation_utilities(base, rule.run(base))
+    after = allocation_utilities(modified, rule.run(modified))
     violated = after[agent] < before[agent]
     violators = (agent,) if violated else ()
     return MonotonicityReport(

@@ -33,9 +33,9 @@ from pickseq.harness import (
 from pickseq.methods import (
     ADAMS,
     JEFFERSON,
+    RULES,
     TRADITIONAL,
     WEBSTER,
-    Rule,
     divisor_rule,
     divisor_sequence,
     power_mean,
@@ -259,7 +259,7 @@ def test_criterion_06_uniqueness_negatives():
 
 def test_criterion_07_mwnw_weight_monotonicity():
     rng = random.Random(SEED_MWNW_MONO)
-    rule = Rule("mwnw")
+    rule = RULES["mwnw"]
     violations = 0
     for _ in range(1000):
         base = random_instance(rng, max_n=3, max_m=7, min_n=2)
@@ -305,8 +305,8 @@ def test_criterion_08_consistency_oracle_equivalence():
 def test_criterion_09_mwnw_optimality_sanity():
     rng = random.Random(SEED_OPTIMALITY)
     rules = [divisor_rule(f) for f in TRADITIONAL.values()]
-    rules += [Rule("quota"), Rule("round_robin"), Rule("envy_cycle")]
-    aw = Rule("adjusted_winner")
+    rules += [RULES["quota"], RULES["rr"], RULES["ecycle"]]
+    aw = RULES["aw"]
     compared = 0
     for _ in range(200):
         inst = random_instance(rng, max_n=3, max_m=7, min_n=2)
@@ -317,9 +317,7 @@ def test_criterion_09_mwnw_optimality_sanity():
         if inst.n == 2:
             candidates.append(aw)
         for rule in candidates:
-            from pickseq.harness import apply_rule
-
-            other = score(inst, apply_rule(rule, inst))
+            other = score(inst, rule.run(inst))
             assert best_score.compare(other) >= 0, (rule.name, inst)
             compared += 1
     verdict(9, True, f"200 instances: pruned == unpruned and the solver's score "

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from pickseq.cli import MAX_AGENTS, MAX_BUDGET, MAX_SCAN_BOUNDS, MAX_TURNS, main
-from pickseq.harness import check_weight_consistency_pair, sequence_for_rule
+from pickseq.harness import check_weight_consistency_pair
 from pickseq.methods import rule_from_name
 
 
@@ -110,8 +110,15 @@ def test_fairness_allocation_wef1_violation(capsys):
          "arguments: need --instance and --allocation, or --sequence and --weights"),
         (["--notion", "quota", "--instance", INSTANCE_DOC, "--allocation", '{"bundles":[[1],[2],[3]]}'],
          "notion: quota bounds apply to sequences, not allocations"),
+        (["--notion", "wef1", "--sequence", "[1,2,3]", "--weights", "1,1,1", "--instance", INSTANCE_DOC,
+          "--allocation", '{"bundles":[[1],[2],[3]]}'],
+         "arguments: --sequence, --weights cannot be combined with --instance, --allocation"),
+        (["--notion", "wef1", "--weights", "1,1,1", "--instance", INSTANCE_DOC,
+          "--allocation", '{"bundles":[[1],[2],[3]]}'],
+         "arguments: --weights cannot be combined with --instance, --allocation"),
     ],
-    ids=["sequence-without-weights", "instance-without-allocation", "quota-on-allocation"],
+    ids=["sequence-without-weights", "instance-without-allocation", "quota-on-allocation",
+         "sequence-and-allocation", "weights-and-allocation"],
 )
 def test_fairness_refusals_exit_two(capsys, argv, message):
     code, out, err = run_cli(capsys, "fairness", *argv)
@@ -291,6 +298,23 @@ def test_turns_above_bound_exit_two(capsys):
         assert f"at most {MAX_TURNS} turns are supported" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sequence", "--method", "webster", "--weights", "1,2", "--turns", "abc"],
+    ["consistency", "--kind", "resource", "--method", "webster", "--weights", "1,2", "--turns", "abc"],
+    ["mwnw", "--instance", "{}", "--budget", "abc"],
+    ["allocate", "--method", "mwnw", "--instance", "{}", "--budget", "abc"],
+    ["scan", "--rule", "adams", "--property", "wef1", "--trials", "abc"],
+])
+def test_non_integer_capped_flag_says_invalid_int(capsys, argv):
+    # every capped integer flag refuses text as a plain int flag does,
+    # naming the type int, not the function that parses it
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: argument {argv[-2]}: invalid int value: 'abc'\n")
+
+
 def test_agents_above_bound_exit_two(capsys):
     weights = ",".join(["1"] * MAX_AGENTS)
     code, out, _ = run_cli(capsys, "sequence", "--method", "quota", "--weights", weights,
@@ -423,7 +447,7 @@ def test_consistency_weight_from_method(capsys, agent, consistent):
                              "--new-weight", "4", "--json")
     rule, weights = rule_from_name("quota"), (3, 2, 1)
     raised = tuple(4 if i == agent - 1 else w for i, w in enumerate(weights))
-    base, modified = (sequence_for_rule(rule, 3, 7, w) for w in (weights, raised))
+    base, modified = (rule.sequence_for(3, 7, w) for w in (weights, raised))
     assert check_weight_consistency_pair(base, modified, agent - 1) is consistent
     assert (code, err) == (0 if consistent else 1, "")
     assert json.loads(out) == {"kind": "weight", "method": "quota", "consistent": consistent}
@@ -450,6 +474,44 @@ def test_consistency_missing_arguments_exit_two(capsys, argv, message):
     code, out, err = run_cli(capsys, "consistency", *argv)
     assert code == 2 and out == ""
     assert err == f"error: arguments: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "population", "--method", "webster", "--weights", "1,2", "--turns", "4",
+          "--new-weight", "1", "--base", "[1,1,1,1]", "--modified", "[2,2,2,2]", "--new-agent", "3"],
+         "--method, --weights, --turns, --new-weight cannot be combined with --base, --modified"),
+        (["--kind", "weight", "--base", "[1,2]", "--modified", "[2,1]", "--agent", "1",
+          "--weights", "1,2"],
+         "--weights cannot be combined with --base, --modified"),
+        (["--kind", "resource", "--method", "webster", "--weights", "1,2", "--turns", "4",
+          "--base", "[1,2,1,2]"],
+         "--method, --weights, --turns cannot be combined with --base"),
+    ],
+    ids=["population", "weight", "resource"],
+)
+def test_consistency_mixed_sources_exit_two(capsys, argv, message):
+    # a verdict from the method would never read the given sequences
+    code, out, err = run_cli(capsys, "consistency", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: arguments: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, rule",
+    [
+        (["sequence", "--method", "mwnw", "--weights", "1,2", "--turns", "3"], "mwnw"),
+        (["consistency", "--kind", "resource", "--method", "ecycle", "--weights", "1,2",
+          "--turns", "3"], "ecycle"),
+        (["consistency", "--kind", "weight", "--method", "aw", "--weights", "1,2", "--turns", "3",
+          "--agent", "1", "--new-weight", "2"], "aw"),
+    ],
+)
+def test_allocation_rule_has_no_sequence_exit_two(capsys, argv, rule):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: rule {rule!r} is not sequence-based\n"
 
 
 def test_consistency_method_agent_out_of_range_exit_two(capsys):

@@ -312,6 +312,29 @@ def test_floats_raise_type_error_at_every_entry_point(call):
         call()
 
 
+DECIMAL_STRING_ENTRY_POINTS = {
+    "Instance": lambda: Instance(("0.5", 1), ((1,), (1,))),
+    "divisor_sequence": lambda: divisor_sequence(ADAMS, 2, 3, ("0.5", 1)),
+    "check_sequence": lambda: check_sequence("wef1", [0, 1, 0], ("1e1", 1)),
+    "stationary": lambda: stationary("0.5"),
+}
+
+
+@pytest.mark.parametrize("call", DECIMAL_STRING_ENTRY_POINTS.values(),
+                         ids=list(DECIMAL_STRING_ENTRY_POINTS))
+def test_strings_enter_as_p_over_q_only(call):
+    # the library reads a string by the grammar of the documents and the CLI
+    with pytest.raises(ParseError, match="not a valid rational literal"):
+        call()
+
+
+def test_p_over_q_strings_enter_as_rationals():
+    assert Instance(("1/2", "3"), (("0",), ("2/4",))) == Instance(
+        (Fraction(1, 2), 3), ((0,), (Fraction(1, 2),)))
+    assert divisor_sequence(ADAMS, 2, 3, ("1/2", 1)) == divisor_sequence(ADAMS, 2, 3, (1, 2))
+    assert stationary("1/3").c == Fraction(1, 3)
+
+
 def test_fractions_enter_as_they_are():
     w, u = Fraction(3, 4), Fraction(5, 6)
     inst = Instance((w, 2), ((u,), (0,)))

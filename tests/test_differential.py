@@ -27,10 +27,9 @@ from pickseq.fairness import (
     divisor_wwef1_condition,
 )
 from pickseq.methods import (
-    RULE_KINDS,
+    RULES,
     TRADITIONAL,
     PrecisionError,
-    Rule,
     compare_scores,
     custom,
     divisor_rule,
@@ -406,9 +405,7 @@ def test_zero_scores_tie_and_sit_below_positive_scores(f):
         assert compare_scores(f, 1, w_b, 0, w_a) == 1, (w_b, w_a)
 
 
-COMPARED_RULES = [divisor_rule(f) for f in TRADITIONAL.values()] + [
-    Rule(kind) for kind in RULE_KINDS if kind != "divisor"
-]
+COMPARED_RULES = [divisor_rule(f) for f in TRADITIONAL.values()] + list(RULES.values())
 
 FLIP_TABLE = ((10, 9, 8, 7, 0), (7, 10, 8, 9, 0), (0, 7, 10, 8, 9))
 
@@ -418,14 +415,14 @@ FLIP_TABLE = ((10, 9, 8, 7, 0), (7, 10, 8, 9, 0), (0, 7, 10, 8, 9))
 STORED_COMPARISONS = [
     (divisor_rule(TRADITIONAL["webster"]), Instance((Fraction(33, 10), Fraction(6, 5), 1), FLIP_TABLE),
      "weight", (0, 4)),
-    (Rule("quota"), Instance((Fraction(9, 18), Fraction(5, 18), Fraction(4, 18)), FLIP_TABLE),
+    (RULES["quota"], Instance((Fraction(9, 18), Fraction(5, 18), Fraction(4, 18)), FLIP_TABLE),
      "weight", (0, Fraction(11, 18))),
-    (Rule("quota"), Instance((Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)),
+    (RULES["quota"], Instance((Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)),
                              ((2, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0))),
      "population", (Fraction(1, 3), (0, 0, 1))),
-    (Rule("mwnw"), Instance((1, 1), ((2, 3, 3, 2), (1, 2, 1, 3))), "population", (1, (2, 1, 1, 3))),
-    (Rule("mwnw"), Instance((1, 1), ((3, 2, 2), (2, 2, 1))), "resource", ((2, 1),)),
-    (Rule("envy_cycle"), Instance((1, 1, 1), ((10, 5, 1), (6, 1, 2), (0, 4, 1))),
+    (RULES["mwnw"], Instance((1, 1), ((2, 3, 3, 2), (1, 2, 1, 3))), "population", (1, (2, 1, 1, 3))),
+    (RULES["mwnw"], Instance((1, 1), ((3, 2, 2), (2, 2, 1))), "resource", ((2, 1),)),
+    (RULES["ecycle"], Instance((1, 1, 1), ((10, 5, 1), (6, 1, 2), (0, 4, 1))),
      "resource", ((11, 1, 0),)),
 ]
 
@@ -433,7 +430,7 @@ STORED_COMPARISONS = [
 def draw_comparison(rng, rule):
     """A base instance of up to 3 agents and 5 items, a monotonicity kind
     the rule admits, and that kind's perturbation arguments."""
-    fixed_n = rule.spec.agents
+    fixed_n = rule.agents
     base = draw_instance(rng, 3, 5)
     while fixed_n is not None and base.n != fixed_n:
         base = draw_instance(rng, 3, 5)
@@ -457,10 +454,10 @@ def test_merged_comparison_matches_reference_bodies():
         got = getattr(harness, f"compare_{kind}")(rule, base, *args)
         expected = getattr(reference, f"compare_{kind}")(rule, base, *args)
         assert got == expected and repr(got) == repr(expected), (rule, kind, base, args)
-        covered[rule.kind, kind] += 1
+        covered[rule.name, kind] += 1
         violated[kind] += got.violated
-    # every rule kind under every perturbation it admits, and violations of each
-    assert len(covered) == 3 * len(RULE_KINDS) - 1
+    # every rule under every perturbation it admits, and violations of each
+    assert len(covered) == 3 * len(COMPARED_RULES) - 1
     assert all(violated[kind] >= 2 for kind in harness.MONOTONICITY_KINDS), violated
 
 

@@ -22,9 +22,9 @@ from pickseq.harness import (
 from pickseq.methods import (
     ADAMS,
     JEFFERSON,
+    RULES,
     TRADITIONAL,
     WEBSTER,
-    Rule,
     divisor_rule,
     divisor_sequence,
     quota_sequence,
@@ -33,8 +33,8 @@ from pickseq.methods import (
 
 from seq_oracles import population_closure, weight_closure
 
-QUOTA = Rule("quota")
-MWNW = Rule("mwnw")
+QUOTA = RULES["quota"]
+MWNW = RULES["mwnw"]
 
 
 # --- monotonicity comparisons ---------------------------------------------------
@@ -58,7 +58,7 @@ def test_divisor_resource_monotone_random():
 
 def test_ecycle_resource_violation():
     base = Instance((1, 1, 1), ((10, 5, 1), (6, 1, 2), (0, 4, 1)))
-    report = compare_resource(Rule("envy_cycle"), base, (11, 1, 0))
+    report = compare_resource(RULES["ecycle"], base, (11, 1, 0))
     assert report.violated
     assert (report.before[2], report.after[2]) == (4, 0)
 
@@ -129,7 +129,7 @@ def test_compare_weight_requires_increase():
 def test_adjusted_winner_rule_needs_two_agents():
     base = Instance((1, 1, 1), ((1, 1), (1, 1), (1, 1)))
     with pytest.raises(ValueError):
-        compare_resource(Rule("adjusted_winner"), base, (1, 1, 1))
+        compare_resource(RULES["aw"], base, (1, 1, 1))
 
 
 # --- consistency ------------------------------------------------------------------
@@ -348,7 +348,7 @@ def test_scan_rejects_fixed_agent_count_mismatch(prop, max_n):
     # adjusted winner runs on exactly two agents: an added agent or max_n
     # below two would otherwise fail mid-scan or be silently overridden
     with pytest.raises(ValueError, match="exactly 2 agents"):
-        scan(Rule("adjusted_winner"), prop, max_n=max_n, trials=10, seed=0)
+        scan(RULES["aw"], prop, max_n=max_n, trials=10, seed=0)
 
 
 # sha256 of the reprs of 236 seeded scans, 80 of which find a violation

@@ -8,12 +8,15 @@ from pickseq.methods import (
     DEAN,
     HILL,
     JEFFERSON,
+    RULES,
     TRADITIONAL,
     WEBSTER,
     PrecisionError,
+    Rule,
     compare_scores,
     custom,
     divisor_from_name,
+    divisor_rule,
     divisor_sequence,
     power_mean,
     quota_sequence,
@@ -23,7 +26,7 @@ from pickseq.methods import (
 from pickseq.core import PickingSequence
 from pickseq.executor import execute
 from pickseq.fairness import divisor_wwef1_condition
-from pickseq.harness import apply_rule, random_instance, sequence_for_rule
+from pickseq.harness import random_instance
 
 
 def seq1(seq: PickingSequence) -> list[int]:
@@ -199,7 +202,7 @@ def test_divisor_from_name():
     assert pm.p == -1 and pm.w == Fraction(1, 2)
     with pytest.raises(ValueError):
         divisor_from_name("hamilton")
-    assert rule_from_name("quota").kind == "quota"
+    assert rule_from_name("quota").name == "quota"
     assert rule_from_name("jefferson").divisor is JEFFERSON
 
 
@@ -210,13 +213,29 @@ ROUND_TRIP_NAMES = ["rr", "quota", "mwnw", "ecycle", "aw", *TRADITIONAL, "statio
 def test_rule_names_round_trip_and_sequence_rules_execute_their_sequence(name):
     rule = rule_from_name(name)
     assert rule.name == name
-    if not rule.is_sequence_based:
+    if rule.sequence is None:
         return
     rng = random.Random(2024)
     for _ in range(20):
         instance = random_instance(rng, max_n=5, max_m=12, min_n=2)
-        sequence = sequence_for_rule(rule, instance.n, instance.m, instance.weights)
-        assert apply_rule(rule, instance) == execute(instance, sequence)
+        sequence = rule.sequence_for(instance.n, instance.m, instance.weights)
+        assert rule.run(instance) == execute(instance, sequence)
+
+
+def test_a_rule_is_equal_by_name_agents_and_divisor():
+    assert divisor_rule(WEBSTER) == rule_from_name("webster")
+    assert hash(divisor_rule(WEBSTER)) == hash(rule_from_name("webster"))
+    assert divisor_rule(WEBSTER) != divisor_rule(ADAMS)
+    assert rule_from_name("quota") is RULES["quota"]
+
+
+def test_a_rule_has_a_sequence_or_an_allocation_procedure():
+    with pytest.raises(ValueError, match="exactly one"):
+        Rule("none")
+    with pytest.raises(ValueError, match="exactly one"):
+        Rule("both", quota_sequence, RULES["mwnw"].allocate)
+    with pytest.raises(ValueError, match="rule 'mwnw' is not sequence-based"):
+        RULES["mwnw"].sequence_for(2, 3, (1, 1))
 
 
 def test_divisor_from_name_custom_file(tmp_path):

@@ -1,0 +1,208 @@
+"""Paired benchmark runs of two git revisions, written to one JSON file.
+
+Each revision is exported with ``git archive`` into a temporary directory,
+so the working tree is not touched.  For each workload, ``bench/run.py``
+of each checkout runs unchanged in ``--pairs`` pairs: both sides of a pair
+take the same seed, and the side that runs first alternates from pair to
+pair, so that drift of a shared host falls on both sides alike.  Then
+``--setup-runs`` ``--setup-only`` processes per side, again alternating,
+are timed as ``bench/run.py``'s ``measure_setup`` times them: from just
+before the process starts to the ``time.monotonic()`` it prints once its
+inputs are built.
+
+    python tools/bench_pairs.py HEAD~1 HEAD --pairs 5 --setup-runs 20 --out bench_pairs.json
+
+The output holds the command, both revisions, the Python version, the
+number of usable cores, whether ``PYTHONDONTWRITEBYTECODE`` was set and
+whether each checkout had a ``__pycache__`` before and after, every run's
+final JSON line, and per workload and end-to-end metric of
+``BENCHMARK.json`` each side's median and quartiles and the pairs each side
+won (ties count for neither).  Each revision is also recorded by the git
+ids of ``src``, the benchmark's ``paths`` and ``BENCHMARK.json``, so a
+record can be matched to any commit that holds the same files.  Standard
+output gets the table of medians in Markdown; progress goes to standard
+error.  The exit status is 1 if any run crashed, was incorrect or had a
+failed operation, after the file and the table are written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SIDES = ("base", "head")
+RUN_TIMEOUT_S = 900
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], check=True, capture_output=True).stdout
+
+
+def export(revision: str, into: Path) -> str:
+    """Extract the revision's tree into ``into``; return its commit id."""
+    commit = git("rev-parse", "--verify", f"{revision}^{{commit}}").decode().strip()
+    into.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(into)], input=git("archive", commit), check=True)
+    return commit
+
+
+def tree_ids(commit: str, paths: list[str]) -> dict:
+    """The git object id of each path in the commit."""
+    return {path: git("rev-parse", f"{commit}:{path}").decode().strip() for path in paths}
+
+
+def has_pycache(checkout: Path) -> bool:
+    return any(checkout.rglob("__pycache__"))
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``bench/run.py`` run: its final JSON line, or the failure."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        return {"error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}"}
+    return json.loads(lines[-1])
+
+
+def setup_seconds(checkout: Path, workload: str, seed: int) -> float:
+    """One ``--setup-only`` process, timed as ``measure_setup`` does."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--setup-only"]
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.monotonic()
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S, check=True)
+    return float(done.stdout.split()[-1]) - start
+
+
+def run_ok(run: dict) -> bool:
+    """Whether a run finished, correct and with no failed operation."""
+    return "error" not in run and run["correct"] is True and run["failed"] == 0
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method) of the values."""
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+
+
+def compare(base: list[float], head: list[float], better: str) -> dict:
+    """Each side's spread, the pairs each side won and the change of the
+    head's median against the base's."""
+    sign = 1 if better == "higher" else -1
+    won = {side: 0 for side in SIDES}
+    for b, h in zip(base, head):
+        if b != h:
+            won["head" if sign * (h - b) > 0 else "base"] += 1
+    entry = {"better": better, "base": spread(base), "head": spread(head), "pairs_won": won}
+    if entry["base"]["median"]:
+        entry["change"] = entry["head"]["median"] / entry["base"]["median"] - 1
+    return entry
+
+
+def summarize(pairs: list[dict], setups: dict, metrics: list[dict]) -> dict:
+    """Per end-to-end metric, over the pairs whose two runs both finished,
+    and for the ``--setup-only`` processes: ``compare`` of the two sides."""
+    finished = [p for p in pairs if not any("error" in p[side] for side in SIDES)]
+    out = {}
+    if finished:
+        for metric in metrics:
+            base, head = ([p[side]["metrics"][metric["name"]]["value"] for p in finished]
+                          for side in SIDES)
+            out[metric["name"]] = {"unit": metric["unit"], "bound": metric["bound"],
+                                   **compare(base, head, metric["better"])}
+    if setups["base"]:
+        out["setup_only_s"] = {"unit": "s", **compare(setups["base"], setups["head"], "lower")}
+    return out
+
+
+def medians_table(result: dict) -> str:
+    lines = [f"### Paired benchmark: {result['revisions']['base']['name']} (base) against "
+             f"{result['revisions']['head']['name']} (head), {result['pairs']} pair(s), "
+             f"{result['seconds']} s per run",
+             "", "| workload | metric | base median | head median | change | pairs won base/head |",
+             "|---|---|---|---|---|---|"]
+    for workload, entry in result["workloads"].items():
+        for name, m in entry["summary"].items():
+            change = f"{m['change']:+.1%}" if "change" in m else "-"
+            lines.append(f"| {workload} | {name} ({m['unit']}) | {m['base']['median']:.4g} | "
+                         f"{m['head']['median']:.4g} | {change} | "
+                         f"{m['pairs_won']['base']}/{m['pairs_won']['head']} |")
+        failed = {side: sum(not run_ok(p[side]) for p in entry["pairs"]) for side in SIDES}
+        lines.append(f"| {workload} | runs failed or incorrect | {failed['base']} | "
+                     f"{failed['head']} | | |")
+    return "\n".join(lines)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("base", help="git revision of the base side, e.g. HEAD~1")
+    parser.add_argument("head", help="git revision of the head side, e.g. HEAD")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=float,
+                        help="run length of each run; default: BENCHMARK.json's run_seconds")
+    parser.add_argument("--setup-runs", type=int, default=20,
+                        help="--setup-only processes per side and workload")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i adds i")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        checkouts = {side: Path(tmp) / side for side in SIDES}
+        revisions = {side: {"name": rev, "commit": export(rev, checkouts[side])}
+                     for side, rev in zip(SIDES, (args.base, args.head))}
+        spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
+        seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+        for revision in revisions.values():
+            revision["trees"] = tree_ids(revision["commit"], ["src", *spec["paths"], "BENCHMARK.json"])
+        pycache_before = {side: has_pycache(checkouts[side]) for side in SIDES}
+        workloads = {}
+        for workload in (w["name"] for w in spec["workloads"]):
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: {side}", file=sys.stderr)
+                    pair[side] = bench_run(checkouts[side], workload, seed, seconds)
+                pairs.append(pair)
+            setups = {side: [] for side in SIDES}
+            for i in range(args.setup_runs):
+                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                    setups[side].append(setup_seconds(checkouts[side], workload, args.seed))
+            workloads[workload] = {"pairs": pairs, "setup_only_s": setups,
+                                   "summary": summarize(pairs, setups, spec["end_to_end"])}
+        result = {
+            "command": [Path(sys.executable).name, *sys.argv],
+            "revisions": revisions,
+            "python": platform.python_version(),
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "pycache": {side: {"before": pycache_before[side], "after": has_pycache(checkouts[side])}
+                        for side in SIDES},
+            "pairs": args.pairs,
+            "seconds": seconds,
+            "setup_runs": args.setup_runs,
+            "workloads": workloads,
+        }
+    Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    print(medians_table(result))
+    runs = [p[side] for entry in workloads.values() for p in entry["pairs"] for side in SIDES]
+    return 0 if all(run_ok(run) for run in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
