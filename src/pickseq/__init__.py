@@ -56,14 +56,12 @@ from .fairness import (
 from .mwnw import BudgetExceededError, WelfareScore, score, solve
 from .baselines import adjusted_winner, envy_cycle_eliminate, round_robin_sequence
 from .harness import (
+    PERTURBATIONS,
     MonotonicityReport,
     ScanReport,
     check_population_consistency_pair,
     check_resource_consistency,
     check_weight_consistency_pair,
-    compare_population,
-    compare_resource,
-    compare_weight,
     random_instance,
     scan,
 )

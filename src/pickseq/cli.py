@@ -222,6 +222,8 @@ def _cmd_allocate(args) -> int:
 
 def _cmd_fairness(args) -> int:
     _one_source(args, ("sequence", "weights"), ("instance", "allocation"))
+    if args.notion != "quota":
+        _require(args, f"--notion {args.notion}", among=("bound", "every-prefix"))
     if args.sequence is not None:
         if args.weights is None:
             raise ParseError("weights", "required together with --sequence")
@@ -229,7 +231,7 @@ def _cmd_fairness(args) -> int:
         weights = _parse_weights(args.weights)
         if args.notion == "quota":
             mode = "every-prefix" if args.every_prefix else "full"
-            verdict = check_quota_bounds(seq, weights, mode=mode, bound=args.bound)
+            verdict = check_quota_bounds(seq, weights, mode=mode, bound=args.bound or "both")
         else:
             verdict = check_sequence(args.notion, seq, weights)
     else:
@@ -289,9 +291,14 @@ def _given(args, *names: str) -> list[str]:
     return ["--" + name for name in names if getattr(args, name.replace("-", "_")) is not None]
 
 
-def _require(args, what: str, *names: str) -> None:
+def _require(args, what: str, *names: str, among: tuple[str, ...] = ()) -> None:
+    """Refuse a call that lacks one of ``names``, or that gives a flag of
+    ``among`` beyond them, which the mode would never read."""
     if len(_given(args, *names)) < len(names):
         raise ParseError("arguments", f"{what} needs " + ", ".join("--" + n for n in names))
+    unread = _given(args, *(name for name in among if name not in names))
+    if unread:
+        raise ParseError("arguments", f"{what} does not read {', '.join(unread)}")
 
 
 def _one_source(args, first: tuple[str, ...], second: tuple[str, ...]) -> None:
@@ -302,11 +309,16 @@ def _one_source(args, first: tuple[str, ...], second: tuple[str, ...]) -> None:
         raise ParseError("arguments", f"{', '.join(a)} cannot be combined with {', '.join(b)}")
 
 
+# the flags of `consistency` besides --kind and --method, which picks the mode
+_CONSISTENCY_INPUTS = ("weights", "turns", "agent", "new-agent", "new-weight", "base", "modified")
+
+
 def _cmd_consistency(args) -> int:
     _one_source(args, ("method", "weights", "turns", "new-weight"), ("base", "modified"))
     payload: dict = {"kind": args.kind}
     if args.kind == "resource":
-        _require(args, "resource consistency", "method", "weights", "turns")
+        _require(args, "resource consistency", "method", "weights", "turns",
+                 among=_CONSISTENCY_INPUTS)
         weights = _parse_weights(args.weights)
         rule = rule_from_name(args.method)
         consistent = check_resource_consistency(rule.sequence_for, len(weights), args.turns, weights)
@@ -316,7 +328,8 @@ def _cmd_consistency(args) -> int:
         population = args.kind == "population"
         if args.method is None:
             agent_flag = "new-agent" if population else "agent"
-            _require(args, f"{args.kind} consistency", "base", "modified", agent_flag)
+            _require(args, f"{args.kind} consistency", "base", "modified", agent_flag,
+                     among=_CONSISTENCY_INPUTS)
             agent = (args.new_agent if population else args.agent) - 1
             if agent < 0:
                 raise ParseError(agent_flag, f"must be a 1-indexed agent, got {agent + 1}")
@@ -330,7 +343,8 @@ def _cmd_consistency(args) -> int:
                                  f"{above}the largest agent --base and --modified name")
         else:
             needed = ("weights", "turns") + (() if population else ("agent",)) + ("new-weight",)
-            _require(args, f"{args.kind} consistency from a method", *needed)
+            _require(args, f"{args.kind} consistency from a method", *needed,
+                     among=_CONSISTENCY_INPUTS)
             weights = _parse_weights(args.weights)
             rule = rule_from_name(args.method)
             payload["method"] = rule.name
@@ -465,9 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allocation")
     p.add_argument("--sequence", help="sequence file, {\"turns\": [...]}, or inline [1,2,...]")
     p.add_argument("--weights")
-    p.add_argument("--bound", choices=["lower", "both"], default="both",
-                   help="for --notion quota")
-    p.add_argument("--every-prefix", action="store_true", help="for --notion quota")
+    # no defaults, so that a flag given for another notion is refused
+    p.add_argument("--bound", choices=["lower", "both"], help="for --notion quota")
+    p.add_argument("--every-prefix", action="store_true", default=None, help="for --notion quota")
     p.set_defaults(func=_cmd_fairness)
 
     p = sub.add_parser("mwnw", help="exact maximum weighted Nash welfare")

@@ -5,7 +5,10 @@ Monotonicity follows the textbook perturbations exactly: an extra item is
 appended as item m+1, an extra agent as agent n+1, and a weight change is
 always an increase.  A rule is resource-monotone when no agent loses from
 the extra item, population-monotone when no incumbent gains from the extra
-agent, and weight-monotone when the boosted agent never loses.
+agent, and weight-monotone when the boosted agent never loses.  Each kind
+is one ``Perturbation`` record in ``PERTURBATIONS``, and its
+``compare(rule, base, *args)`` is the one monotonicity comparison that
+``scan``, the CLI and the repro catalog run.
 
 The consistency predicates relate picking sequences of neighboring problem
 sizes structurally (prefix, insert-and-trim, move-earlier-insert-and-trim)
@@ -49,56 +52,43 @@ class MonotonicityReport:
     boosted_agent: int | None = None
 
 
-def _compare(
-    kind: str, rule: Rule, base: Instance, modified: Instance, tracked, worse,
-    boosted_agent: int | None = None,
-) -> MonotonicityReport:
-    """Run the rule on both instances; a tracked agent whose utility after
-    the perturbation is ``worse`` than before is a violator."""
-    before = allocation_utilities(base, rule.run(base))
-    after = allocation_utilities(modified, rule.run(modified))[: base.n]
-    violators = tuple(i for i in tracked if worse(after[i], before[i]))
-    return MonotonicityReport(
-        kind, rule.name, before, after, bool(violators), violators, boosted_agent
-    )
-
-
-def compare_resource(
-    rule: Rule, base: Instance, extra_item_utilities: Sequence
-) -> MonotonicityReport:
-    """Run the rule with and without one appended item."""
-    modified = base.add_item(extra_item_utilities)
-    return _compare("resource", rule, base, modified, range(base.n), operator.lt)
-
-
-def compare_population(
-    rule: Rule, base: Instance, new_weight, new_utilities: Sequence
-) -> MonotonicityReport:
-    """Run the rule with and without one appended agent; track incumbents."""
-    modified = base.add_agent(new_weight, new_utilities)
-    return _compare("population", rule, base, modified, range(base.n), operator.gt)
-
-
-def compare_weight(rule: Rule, base: Instance, agent: int, new_weight) -> MonotonicityReport:
-    """Run the rule before and after raising one agent's weight."""
-    new_weight = _as_rational(new_weight)
+def _raise_weight(base: Instance, agent: int, weight) -> Instance:
+    """The weight perturbation: ``replace_weight``, refusing anything but an increase."""
+    weight = _as_rational(weight)
     if not 0 <= agent < base.n:
         raise ValueError(f"agent index {agent} out of range")
-    if new_weight <= base.weights[agent]:
+    if weight <= base.weights[agent]:
         raise ValueError("weight-monotonicity perturbations must increase the weight")
-    modified = base.replace_weight(agent, new_weight)
-    return _compare("weight", rule, base, modified, (agent,), operator.lt, boosted_agent=agent)
+    return base.replace_weight(agent, weight)
 
 
 class Perturbation(NamedTuple):
-    """One monotonicity kind: its comparison, the ``Instance`` method that
-    perturbs the base, that method's argument names in call order, and
-    ``scan``'s seeded draw of those arguments for a base instance."""
+    """One monotonicity kind: its name, the perturbation of the base
+    instance, that perturbation's argument names in call order, ``scan``'s
+    seeded draw of those arguments for a base instance, and ``worse``, the
+    forbidden move of a tracked agent's utility (``worse(after, before)``).
+    Every original agent is tracked, unless ``boosts_first``: then the
+    first argument is the boosted agent, the only one tracked."""
 
-    compare: Callable[..., MonotonicityReport]
+    kind: str
     perturb: Callable[..., Instance]
     names: tuple[str, ...]
     draw: Callable[[random.Random, Instance], tuple]
+    worse: Callable[[Fraction, Fraction], bool]
+    boosts_first: bool = False
+
+    def compare(self, rule: Rule, base: Instance, *args) -> MonotonicityReport:
+        """Run the rule before and after perturbing ``base`` by ``args``; a
+        tracked agent whose utility after is ``worse`` than before is a violator."""
+        modified = self.perturb(base, *args)
+        before = allocation_utilities(base, rule.run(base))
+        after = allocation_utilities(modified, rule.run(modified))[: base.n]
+        boosted = args[0] if self.boosts_first else None
+        tracked = range(base.n) if boosted is None else (boosted,)
+        violators = tuple(i for i in tracked if self.worse(after[i], before[i]))
+        return MonotonicityReport(
+            self.kind, rule.name, before, after, bool(violators), violators, boosted
+        )
 
 
 def _draws(rng: random.Random, count: int) -> list[Fraction]:
@@ -110,19 +100,19 @@ def _draw_weight(rng: random.Random, base: Instance) -> tuple[int, Fraction]:
     return agent, base.weights[agent] + rng.randint(1, MAX_DRAW)
 
 
-PERTURBATIONS = {
-    "resource": Perturbation(
-        compare_resource, Instance.add_item, ("utilities",),
-        lambda rng, base: (_draws(rng, base.n),),
+PERTURBATIONS = {p.kind: p for p in (
+    Perturbation(
+        "resource", Instance.add_item, ("utilities",),
+        lambda rng, base: (_draws(rng, base.n),), operator.lt,
     ),
-    "population": Perturbation(
-        compare_population, Instance.add_agent, ("weight", "utilities"),
-        lambda rng, base: (_DRAWN[rng.randint(1, MAX_DRAW)], _draws(rng, base.m)),
+    Perturbation(
+        "population", Instance.add_agent, ("weight", "utilities"),
+        lambda rng, base: (_DRAWN[rng.randint(1, MAX_DRAW)], _draws(rng, base.m)), operator.gt,
     ),
-    "weight": Perturbation(
-        compare_weight, Instance.replace_weight, ("agent", "weight"), _draw_weight
+    Perturbation(
+        "weight", _raise_weight, ("agent", "weight"), _draw_weight, operator.lt, boosts_first=True
     ),
-}
+)}
 MONOTONICITY_KINDS = tuple(PERTURBATIONS)
 
 

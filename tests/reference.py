@@ -5,9 +5,10 @@ table replaced, the per-kind score comparison, the O(n) argmin per turn, and
 the O(n^2) Fraction scan per prefix that the library replaced with order
 keys, a heap and incremental integer checks; and the Fraction forms of
 truthful picking, the allocation verifiers, the envy graph and the MWNW
-search that the library replaced with integer-scaled utility rows; and the
-three separate bodies of the monotonicity comparisons that the harness
-merged into one.  The differential tests require the library to agree with
+search that the library replaced with integer-scaled utility rows (the
+search ranks its leaves by its own order, not by ``mwnw.WelfareScore``);
+and the three separate bodies of the monotonicity comparisons that
+``harness.Perturbation.compare`` merged into one.  The differential tests require the library to agree with
 them exactly, witnesses and reports included.
 """
 
@@ -22,7 +23,7 @@ from pickseq.core import (
 from pickseq.fairness import FairnessVerdict, Witness
 from pickseq.harness import MonotonicityReport
 from pickseq.methods import DivisorFunction, PrecisionError, Rule
-from pickseq.mwnw import WelfareScore, weight_exponents
+from pickseq.mwnw import weight_exponents
 
 
 def _sign(q) -> int:
@@ -290,16 +291,20 @@ def check_allocation(notion: str, instance: Instance, allocation: Allocation) ->
     return FairnessVerdict(notion, True)
 
 
-def welfare_score(n: int, utilities, exponents) -> WelfareScore:
-    support = frozenset(i for i in range(n) if utilities[i] > 0)
+def welfare_rank(n: int, utilities, exponents) -> tuple:
+    """The rank of one allocation's utilities, larger is better: the size of
+    the positive-utility support, then at equal size the lexicographically
+    smaller sorted support (each index negated, so that smaller ranks
+    higher), then the Fraction product over the support."""
+    support = tuple(i for i in range(n) if utilities[i] > 0)
     product = Fraction(1)
     for i in support:
         product *= utilities[i] ** exponents[i]
-    return WelfareScore(n, support, tuple(utilities), exponents, product)
+    return len(support), tuple(-i for i in support), product
 
 
 def mwnw_solve(instance: Instance, prune: bool = True) -> Allocation:
-    """Lexicographic DFS over Fraction utilities, one WelfareScore per leaf."""
+    """Lexicographic DFS over Fraction utilities, one ``welfare_rank`` per leaf."""
     n, m = instance.n, instance.m
     exponents = weight_exponents(instance.weights)
     utilities = instance.utilities
@@ -308,19 +313,19 @@ def mwnw_solve(instance: Instance, prune: bool = True) -> Allocation:
         for i in range(n):
             rest[j][i] = rest[j + 1][i] + utilities[i][j]
     best_assign = None
-    best_score = None
+    best_rank = None
     current = [Fraction(0)] * n
     assign = [0] * m
 
     def recurse(j: int) -> None:
-        nonlocal best_assign, best_score
+        nonlocal best_assign, best_rank
         if j == m:
-            cand = welfare_score(n, current, exponents)
-            if best_score is None or cand.compare(best_score) > 0:
-                best_score = cand
+            cand = welfare_rank(n, current, exponents)
+            if best_rank is None or cand > best_rank:
+                best_rank = cand
                 best_assign = assign.copy()
             return
-        if prune and best_score is not None and best_score.is_positive:
+        if prune and best_rank is not None and best_rank[0] == n:
             bound = Fraction(1)
             for i in range(n):
                 reach = current[i] + rest[j][i]
@@ -328,7 +333,7 @@ def mwnw_solve(instance: Instance, prune: bool = True) -> Allocation:
                     bound = Fraction(0)
                     break
                 bound *= reach ** exponents[i]
-            if bound <= best_score.product:
+            if bound <= best_rank[2]:
                 return
         for a in range(n):
             assign[j] = a

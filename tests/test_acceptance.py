@@ -22,11 +22,9 @@ from pickseq.fairness import (
     zero_one_instance,
 )
 from pickseq.harness import (
+    PERTURBATIONS,
     check_population_consistency_pair,
     check_weight_consistency_pair,
-    compare_population,
-    compare_resource,
-    compare_weight,
     random_instance,
     scan,
 )
@@ -126,17 +124,17 @@ def test_criterion_04_divisor_monotonicity_positives():
         for _ in range(500):
             base = random_instance(rng, max_n=5, max_m=10, min_n=2)
             column = [Fraction(rng.randint(0, 10)) for _ in range(base.n)]
-            violations += compare_resource(rule, base, column).violated
+            violations += PERTURBATIONS["resource"].compare(rule, base, column).violated
         for _ in range(500):
             base = random_instance(rng, max_n=5, max_m=10, min_n=2)
             row = [Fraction(rng.randint(0, 10)) for _ in range(base.m)]
-            violations += compare_population(
+            violations += PERTURBATIONS["population"].compare(
                 rule, base, Fraction(rng.randint(1, 10)), row
             ).violated
         for _ in range(500):
             base = random_instance(rng, max_n=2, max_m=10, min_n=2)
             agent = rng.randrange(2)
-            violations += compare_weight(
+            violations += PERTURBATIONS["weight"].compare(
                 rule, base, agent, base.weights[agent] + rng.randint(1, 10)
             ).violated
     ok = violations == 0
@@ -264,7 +262,9 @@ def test_criterion_07_mwnw_weight_monotonicity():
     for _ in range(1000):
         base = random_instance(rng, max_n=3, max_m=7, min_n=2)
         agent = rng.randrange(base.n)
-        report = compare_weight(rule, base, agent, base.weights[agent] + rng.randint(1, 10))
+        report = PERTURBATIONS["weight"].compare(
+            rule, base, agent, base.weights[agent] + rng.randint(1, 10)
+        )
         violations += report.violated
     ok = violations == 0
     verdict(7, ok, f"1000 weight raises, boosted agent never lost utility: "

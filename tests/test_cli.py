@@ -166,6 +166,17 @@ def test_mono_resource_respected(capsys):
     assert "respected" in out
 
 
+def test_mono_weight_must_rise_exit_two(capsys):
+    for weight in ("9/18", "1/18"):
+        perturb = json.dumps({"kind": "weight", "agent": 1, "weight": weight})
+        code, out, err = run_cli(
+            capsys, "mono", "--property", "weight", "--rule", "quota",
+            "--instance", INSTANCE_DOC, "--perturb", perturb,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: weight-monotonicity perturbations must increase the weight\n"
+
+
 def test_mono_kind_mismatch(capsys):
     perturb = json.dumps({"kind": "weight", "agent": 1, "weight": "2"})
     code, _, err = run_cli(
@@ -496,6 +507,57 @@ def test_consistency_mixed_sources_exit_two(capsys, argv, message):
     code, out, err = run_cli(capsys, "consistency", *argv)
     assert code == 2 and out == ""
     assert err == f"error: arguments: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["consistency", "--kind", "population", "--method", "webster", "--weights", "1,2",
+          "--turns", "4", "--new-weight", "1", "--new-agent", "1"],
+         "population consistency from a method does not read --new-agent"),
+        (["consistency", "--kind", "weight", "--method", "quota", "--weights", "3,2,1",
+          "--turns", "7", "--agent", "1", "--new-weight", "4", "--new-agent", "5"],
+         "weight consistency from a method does not read --new-agent"),
+        (["consistency", "--kind", "population", "--base", "[1,2,1]", "--modified", "[1,2,1]",
+          "--new-agent", "3", "--agent", "1"],
+         "population consistency does not read --agent"),
+        (["consistency", "--kind", "weight", "--base", "[1,2]", "--modified", "[1,1]",
+          "--agent", "1", "--new-agent", "3"],
+         "weight consistency does not read --new-agent"),
+        (["consistency", "--kind", "resource", "--method", "webster", "--weights", "1,2",
+          "--turns", "4", "--new-weight", "3"],
+         "resource consistency does not read --new-weight"),
+        (["consistency", "--kind", "resource", "--method", "webster", "--weights", "1,2",
+          "--turns", "4", "--agent", "1", "--new-agent", "3"],
+         "resource consistency does not read --agent, --new-agent"),
+        (["fairness", "--notion", "wef1", "--sequence", "[1,2,2,2,2]", "--weights", "1,2",
+          "--every-prefix", "--bound", "lower"],
+         "--notion wef1 does not read --bound, --every-prefix"),
+        (["fairness", "--notion", "wprop1", "--instance", INSTANCE_DOC,
+          "--allocation", '{"bundles":[[1],[2],[3,4,5]]}', "--bound", "both"],
+         "--notion wprop1 does not read --bound"),
+    ],
+    ids=["population-method-new-agent", "weight-method-new-agent", "population-pair-agent",
+         "weight-pair-new-agent", "resource-new-weight", "resource-agents", "wef1-quota-flags",
+         "wprop1-allocation-bound"],
+)
+def test_unread_flag_exit_two(capsys, argv, message):
+    # a flag that the chosen mode never reads is refused, not dropped
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: arguments: {message}\n"
+
+
+def test_quota_flags_still_read_by_quota(capsys):
+    # --bound defaults to both when unset; --every-prefix and --bound lower are read
+    argv = ["fairness", "--notion", "quota", "--sequence", "[1,1,2]", "--weights", "3,2,1"]
+    assert run_cli(capsys, *argv, "--json")[0] == 0
+    assert run_cli(capsys, *argv, "--every-prefix", "--json") == run_cli(
+        capsys, *argv, "--every-prefix", "--bound", "both", "--json")
+    code, out, err = run_cli(capsys, *argv, "--every-prefix", "--bound", "lower", "--json")
+    assert (code, err) == (0, "") and json.loads(out)["holds"] is True
+    code, out, _ = run_cli(capsys, *argv, "--every-prefix", "--json")
+    assert code == 1 and json.loads(out)["holds"] is False
 
 
 @pytest.mark.parametrize(

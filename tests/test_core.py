@@ -27,7 +27,7 @@ from pickseq.core import (
 from pickseq.baselines import adjusted_winner, envy_cycle_eliminate, round_robin_sequence
 from pickseq.executor import execute
 from pickseq.fairness import check_allocation, check_quota_bounds, check_sequence, zero_one_instance
-from pickseq.harness import compare_weight, random_instance
+from pickseq.harness import PERTURBATIONS, random_instance
 from pickseq.methods import (
     ADAMS,
     DEAN,
@@ -300,7 +300,9 @@ FLOAT_ENTRY_POINTS = {
     "check_quota_bounds": lambda: check_quota_bounds([0, 1, 0], [1, 0.5]),
     "compare_scores": lambda: compare_scores(WEBSTER, 0, 0.5, 1, 1),
     "zero_one_instance": lambda: zero_one_instance([1, 0.5], 3, 2),
-    "compare_weight": lambda: compare_weight(divisor_rule(WEBSTER), flip_instance(), 0, 2.5),
+    "PERTURBATIONS.weight.compare": lambda: PERTURBATIONS["weight"].compare(
+        divisor_rule(WEBSTER), flip_instance(), 0, 2.5
+    ),
     "stationary": lambda: stationary(0.5),
 }
 

@@ -451,7 +451,7 @@ def test_merged_comparison_matches_reference_bodies():
     ]
     covered, violated = Counter(), Counter()
     for rule, base, kind, args in STORED_COMPARISONS + drawn:
-        got = getattr(harness, f"compare_{kind}")(rule, base, *args)
+        got = harness.PERTURBATIONS[kind].compare(rule, base, *args)
         expected = getattr(reference, f"compare_{kind}")(rule, base, *args)
         assert got == expected and repr(got) == repr(expected), (rule, kind, base, args)
         covered[rule.name, kind] += 1

@@ -13,9 +13,6 @@ from pickseq.harness import (
     check_population_consistency_pair,
     check_resource_consistency,
     check_weight_consistency_pair,
-    compare_population,
-    compare_resource,
-    compare_weight,
     random_instance,
     scan,
 )
@@ -42,7 +39,7 @@ MWNW = RULES["mwnw"]
 
 def test_mnw_resource_violation():
     base = Instance((1, 1), ((3, 2, 2), (2, 2, 1)))
-    report = compare_resource(MWNW, base, (2, 1))
+    report = PERTURBATIONS["resource"].compare(MWNW, base, (2, 1))
     assert report.violated and report.violators == (0,)
     assert (report.before[0], report.after[0]) == (5, 4)
 
@@ -52,13 +49,13 @@ def test_divisor_resource_monotone_random():
     for _ in range(60):
         base = random_instance(rng, max_n=4, max_m=7, min_n=2)
         column = [Fraction(rng.randint(0, 10)) for _ in range(base.n)]
-        report = compare_resource(divisor_rule(JEFFERSON), base, column)
+        report = PERTURBATIONS["resource"].compare(divisor_rule(JEFFERSON), base, column)
         assert not report.violated
 
 
 def test_ecycle_resource_violation():
     base = Instance((1, 1, 1), ((10, 5, 1), (6, 1, 2), (0, 4, 1)))
-    report = compare_resource(RULES["ecycle"], base, (11, 1, 0))
+    report = PERTURBATIONS["resource"].compare(RULES["ecycle"], base, (11, 1, 0))
     assert report.violated
     assert (report.before[2], report.after[2]) == (4, 0)
 
@@ -68,14 +65,14 @@ def test_quota_population_violation():
         (Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)),
         ((2, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
     )
-    report = compare_population(QUOTA, base, Fraction(1, 3), (0, 0, 1))
+    report = PERTURBATIONS["population"].compare(QUOTA, base, Fraction(1, 3), (0, 0, 1))
     assert report.violated and report.violators == (0,)
     assert (report.before[0], report.after[0]) == (2, 3)
 
 
 def test_mnw_population_violation():
     base = Instance((1, 1), ((2, 3, 3, 2), (1, 2, 1, 3)))
-    report = compare_population(MWNW, base, 1, (2, 1, 1, 3))
+    report = PERTURBATIONS["population"].compare(MWNW, base, 1, (2, 1, 1, 3))
     assert report.violated
     assert (report.before[0], report.after[0]) == (5, 6)
 
@@ -85,7 +82,9 @@ def test_adams_population_monotone_random():
     for _ in range(60):
         base = random_instance(rng, max_n=4, max_m=7, min_n=2)
         row = [Fraction(rng.randint(0, 10)) for _ in range(base.m)]
-        report = compare_population(divisor_rule(ADAMS), base, Fraction(rng.randint(1, 10)), row)
+        report = PERTURBATIONS["population"].compare(
+            divisor_rule(ADAMS), base, Fraction(rng.randint(1, 10)), row
+        )
         assert not report.violated
 
 
@@ -94,7 +93,7 @@ def test_quota_weight_violation_flip_table():
         (Fraction(9, 18), Fraction(5, 18), Fraction(4, 18)),
         ((10, 9, 8, 7, 0), (7, 10, 8, 9, 0), (0, 7, 10, 8, 9)),
     )
-    report = compare_weight(QUOTA, base, 0, Fraction(11, 18))
+    report = PERTURBATIONS["weight"].compare(QUOTA, base, 0, Fraction(11, 18))
     assert report.violated and report.boosted_agent == 0
     assert (report.before[0], report.after[0]) == (25, 19)
 
@@ -106,7 +105,9 @@ def test_quota_weight_violation_nine_agents():
         (0, 0, 2, 0, 0, 0, 1),
     ) + ((0, 0, 0, 0, 0, 1, 0),) * 6
     weights = (Fraction(8, 24), Fraction(7, 24), Fraction(3, 24)) + (Fraction(1, 24),) * 6
-    report = compare_weight(QUOTA, Instance(weights, utilities), 0, Fraction(9, 24))
+    report = PERTURBATIONS["weight"].compare(
+        QUOTA, Instance(weights, utilities), 0, Fraction(9, 24)
+    )
     assert report.violated
     assert (report.before[0], report.after[0]) == (6, 5)
 
@@ -116,20 +117,22 @@ def test_mwnw_weight_monotone_random():
     for _ in range(60):
         base = random_instance(rng, max_n=3, max_m=6, min_n=2)
         agent = rng.randrange(base.n)
-        report = compare_weight(MWNW, base, agent, base.weights[agent] + rng.randint(1, 10))
+        report = PERTURBATIONS["weight"].compare(
+            MWNW, base, agent, base.weights[agent] + rng.randint(1, 10)
+        )
         assert not report.violated
 
 
 def test_compare_weight_requires_increase():
     base = Instance((2, 1), ((1, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        compare_weight(QUOTA, base, 0, 2)
+    with pytest.raises(ValueError, match="weight-monotonicity perturbations must increase the weight"):
+        PERTURBATIONS["weight"].compare(QUOTA, base, 0, 2)
 
 
 def test_adjusted_winner_rule_needs_two_agents():
     base = Instance((1, 1, 1), ((1, 1), (1, 1), (1, 1)))
     with pytest.raises(ValueError):
-        compare_resource(RULES["aw"], base, (1, 1, 1))
+        PERTURBATIONS["resource"].compare(RULES["aw"], base, (1, 1, 1))
 
 
 # --- consistency ------------------------------------------------------------------
@@ -228,14 +231,16 @@ def test_consistency_implies_monotonicity_random():
         for f in (ADAMS, WEBSTER):
             rule = divisor_rule(f)
             col = [Fraction(rng.randint(0, 10)) for _ in range(base.n)]
-            assert not compare_resource(rule, base, col).violated
+            assert not PERTURBATIONS["resource"].compare(rule, base, col).violated
             row = [Fraction(rng.randint(0, 10)) for _ in range(base.m)]
-            assert not compare_population(rule, base, Fraction(rng.randint(1, 10)), row).violated
+            assert not PERTURBATIONS["population"].compare(
+                rule, base, Fraction(rng.randint(1, 10)), row
+            ).violated
     # two-agent weight-consistency implies weight-monotonicity
     for _ in range(40):
         base = random_instance(rng, max_n=2, max_m=6, min_n=2)
         for f in (ADAMS, WEBSTER):
-            assert not compare_weight(
+            assert not PERTURBATIONS["weight"].compare(
                 divisor_rule(f), base, 0, base.weights[0] + rng.randint(1, 10)
             ).violated
 

@@ -101,6 +101,32 @@ def test_score_comparison_strict_weak_order():
             assert a.compare(c) >= 0
 
 
+def test_score_order_matches_reference_rank():
+    # the referee's own rank orders allocations as WelfareScore.compare does,
+    # support ties included: many draws leave some agent at zero utility
+    rng = random.Random(57)
+    partial = 0
+    for _ in range(200):
+        n, m = rng.randint(2, 4), rng.randint(1, 5)
+        inst = Instance(
+            tuple(Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(n)),
+            tuple(tuple(Fraction(rng.choice((0, 0, 1, 2, 5))) for _ in range(m)) for _ in range(n)),
+        )
+        exponents = weight_exponents(inst.weights)
+        scores = []
+        for _ in range(2):
+            owners = [rng.randrange(n) for _ in range(m)]
+            allocation = Allocation(
+                tuple(frozenset(g for g in range(m) if owners[g] == i) for i in range(n))
+            )
+            s = score(inst, allocation)
+            scores.append((s, reference.welfare_rank(n, s.utilities, exponents)))
+        (a, rank_a), (b, rank_b) = scores
+        assert a.compare(b) == (rank_a > rank_b) - (rank_a < rank_b), (inst, a, b)
+        partial += not (a.is_positive and b.is_positive)
+    assert partial >= 100
+
+
 def test_zero_welfare_support_preference():
     # two agents want only the same single item: support {1} beats {2}
     inst = Instance((1, 5), ((3,), (2,)))

@@ -21,8 +21,11 @@ won (ties count for neither).  Each revision is also recorded by the git
 ids of ``src``, the benchmark's ``paths`` and ``BENCHMARK.json``, so a
 record can be matched to any commit that holds the same files.  Standard
 output gets the table of medians in Markdown; progress goes to standard
-error.  The exit status is 1 if any run crashed, was incorrect or had a
-failed operation, after the file and the table are written.
+error.  A run or ``--setup-only`` process that exits with an error is
+recorded as ``{"error": "exit <status>: <end of its stderr>"}`` and left
+out of the medians.  The exit status is 1 if any run crashed, was
+incorrect or had a failed operation, or any ``--setup-only`` process
+failed, after the file and the table are written.
 """
 
 from __future__ import annotations
@@ -63,25 +66,29 @@ def has_pycache(checkout: Path) -> bool:
     return any(checkout.rglob("__pycache__"))
 
 
+def failure(done: subprocess.CompletedProcess) -> dict | None:
+    """The record of a process that failed or printed nothing, else None."""
+    if done.returncode != 0 or not done.stdout.strip():
+        return {"error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}"}
+    return None
+
+
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py`` run: its final JSON line, or the failure."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        return {"error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}"}
-    return json.loads(lines[-1])
+    return failure(done) or json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def setup_seconds(checkout: Path, workload: str, seed: int) -> float:
-    """One ``--setup-only`` process, timed as ``measure_setup`` does."""
+def setup_seconds(checkout: Path, workload: str, seed: int) -> float | dict:
+    """One ``--setup-only`` process, timed as ``measure_setup`` does, or the failure."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--setup-only"]
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     start = time.monotonic()
     done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S, check=True)
-    return float(done.stdout.split()[-1]) - start
+                          timeout=RUN_TIMEOUT_S)
+    return failure(done) or float(done.stdout.split()[-1]) - start
 
 
 def run_ok(run: dict) -> bool:
@@ -114,7 +121,8 @@ def compare(base: list[float], head: list[float], better: str) -> dict:
 
 def summarize(pairs: list[dict], setups: dict, metrics: list[dict]) -> dict:
     """Per end-to-end metric, over the pairs whose two runs both finished,
-    and for the ``--setup-only`` processes: ``compare`` of the two sides."""
+    and for the ``--setup-only`` processes, over the pairs whose two
+    processes both finished: ``compare`` of the two sides."""
     finished = [p for p in pairs if not any("error" in p[side] for side in SIDES)]
     out = {}
     if finished:
@@ -123,8 +131,11 @@ def summarize(pairs: list[dict], setups: dict, metrics: list[dict]) -> dict:
                           for side in SIDES)
             out[metric["name"]] = {"unit": metric["unit"], "bound": metric["bound"],
                                    **compare(base, head, metric["better"])}
-    if setups["base"]:
-        out["setup_only_s"] = {"unit": "s", **compare(setups["base"], setups["head"], "lower")}
+    timed = [(b, h) for b, h in zip(setups["base"], setups["head"])
+             if not isinstance(b, dict) and not isinstance(h, dict)]
+    if timed:
+        base, head = (list(side) for side in zip(*timed))
+        out["setup_only_s"] = {"unit": "s", **compare(base, head, "lower")}
     return out
 
 
@@ -142,6 +153,10 @@ def medians_table(result: dict) -> str:
                          f"{m['pairs_won']['base']}/{m['pairs_won']['head']} |")
         failed = {side: sum(not run_ok(p[side]) for p in entry["pairs"]) for side in SIDES}
         lines.append(f"| {workload} | runs failed or incorrect | {failed['base']} | "
+                     f"{failed['head']} | | |")
+        failed = {side: sum(isinstance(t, dict) for t in entry["setup_only_s"][side])
+                  for side in SIDES}
+        lines.append(f"| {workload} | setup-only processes failed | {failed['base']} | "
                      f"{failed['head']} | | |")
     return "\n".join(lines)
 
@@ -201,7 +216,9 @@ def main(argv: list[str] | None = None) -> int:
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(medians_table(result))
     runs = [p[side] for entry in workloads.values() for p in entry["pairs"] for side in SIDES]
-    return 0 if all(run_ok(run) for run in runs) else 1
+    setups = [t for entry in workloads.values() for side in SIDES for t in entry["setup_only_s"][side]]
+    ok = all(map(run_ok, runs)) and not any(isinstance(t, dict) for t in setups)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
