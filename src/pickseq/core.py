@@ -8,7 +8,9 @@ Each value is converted once, where it enters, by one helper that keeps a
 Fraction as it is and raises ``TypeError`` on a float at every entry point.
 
 Internally the hot paths compare integers instead.  ``integer_weights``
-scales the weight vector by the lcm of its denominators, and an
+scales the weight vector by the lcm of its denominators and remembers the
+last tuple it scaled, so the generator and the verifiers that one
+pipeline hands the same weights convert them once between them; an
 ``Instance``'s ``scaled_utilities`` scale each agent's utility row by the
 lcm of that row's denominators.  A per-agent scale is sound wherever an inequality
 weighs one agent's values against that same agent's values; witnesses are
@@ -347,21 +349,50 @@ def turns_of(sequence: PickingSequence | Iterable[int]) -> tuple[int, ...]:
     return tuple(map(index, sequence))
 
 
+# The tuple integer_weights last scaled and its scaling, swapped as one
+# tuple so that a thread never reads one vector's key with another's scaling.
+_last_scaled: tuple[tuple, tuple[int, ...]] = ((), ())
+_IMMUTABLE_WEIGHTS = frozenset((int, Fraction, str))
+
+
 def integer_weights(weights: Iterable) -> tuple[int, ...]:
     """Positive rational weights scaled by the lcm of their denominators:
     integers in the same ratios, so weight comparisons become integer
     cross-multiplication.  A tuple of ints (``Instance.scaled_weights``,
-    say) is its own scaling and is returned as it is."""
+    say) is its own scaling and is returned as it is.
+
+    The tuple last scaled is remembered with its scaling, keyed by
+    identity, so the generator and the verifiers that a pipeline hands one
+    ``instance.weights`` convert it once between them.
+    Only a tuple whose items are all ints, Fractions or strings is
+    remembered, since nothing can change it, and only once its weights
+    passed the positivity check; the entry holds the tuple itself, so its
+    id is never reused while remembered.
+    """
+    global _last_scaled
+    last = _last_scaled
+    if weights is last[0]:
+        return last[1]
     # the first weight's type turns a Fraction vector away without a scan
     if (type(weights) is tuple and weights and type(weights[0]) is int
             and all(type(w) is int for w in weights)):
         if min(weights) <= 0:
             raise ValueError("weights must be strictly positive")
+        _last_scaled = (weights, weights)
         return weights
-    weights = tuple(map(_as_rational, weights))
-    _check_weights(weights)
-    scale = math.lcm(*(w.denominator for w in weights))
-    return tuple(w.numerator * (scale // w.denominator) for w in weights)
+    converted = tuple(map(_as_rational, weights))
+    _check_weights(converted)
+    scale = math.lcm(*(w.denominator for w in converted))
+    scaled = tuple(w.numerator * (scale // w.denominator) for w in converted)
+    if type(weights) is tuple and _IMMUTABLE_WEIGHTS.issuperset(map(type, weights)):
+        _last_scaled = (weights, scaled)
+    return scaled
+
+
+def agents_in_range(turns: Sequence[int], n: int) -> bool:
+    """Whether every turn names one of the agents 0..n-1, by one C-level
+    ``min`` and ``max``."""
+    return not turns or (min(turns) >= 0 and max(turns) < n)
 
 
 def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:

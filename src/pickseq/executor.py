@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Allocation, Instance, PickingSequence, turns_of
+from .core import Allocation, Instance, PickingSequence, agents_in_range, turns_of
 
 
 def execute(instance: Instance, sequence: PickingSequence | Iterable[int]) -> Allocation:
@@ -24,7 +24,7 @@ def execute(instance: Instance, sequence: PickingSequence | Iterable[int]) -> Al
     n, m = instance.n, instance.m
     if len(turns) != m:
         raise ValueError(f"sequence length {len(turns)} does not match item count {m}")
-    if turns and (min(turns) < 0 or max(turns) >= n):
+    if not agents_in_range(turns, n):
         raise ValueError(f"sequence references an agent outside 1..{n}")
 
     orders = instance.preference_orders

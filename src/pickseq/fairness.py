@@ -25,6 +25,7 @@ from .core import (
     Instance,
     PickingSequence,
     _as_rational,
+    agents_in_range,
     bundle_reader,
     integer_weights,
     turns_of,
@@ -222,7 +223,7 @@ def check_sequence(
     turns = turns_of(sequence)
     scaled = integer_weights(weights)
     n, total = len(scaled), sum(scaled)
-    if any(not 0 <= a < n for a in turns):
+    if not agents_in_range(turns, n):
         raise ValueError("sequence references an agent with no weight")
 
     if notion == "wprop1":
@@ -325,7 +326,7 @@ def check_quota_bounds(
     turns = turns_of(sequence)
     scaled = integer_weights(weights)
     n, total, m = len(scaled), sum(scaled), len(turns)
-    if any(not 0 <= a < n for a in turns):
+    if not agents_in_range(turns, n):
         raise ValueError("sequence references an agent with no weight")
 
     if mode == "full":

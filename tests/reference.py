@@ -6,7 +6,9 @@ the O(n^2) Fraction scan per prefix that the library replaced with order
 keys, a heap and incremental integer checks; and the Fraction forms of
 truthful picking, the allocation verifiers, the envy graph and the MWNW
 search that the library replaced with integer-scaled utility rows (the
-search ranks its leaves by its own order, not by ``mwnw.WelfareScore``);
+search ranks its leaves by its own order, not by ``mwnw.WelfareScore``,
+and scales the weights to its exponents itself, not by
+``core.integer_weights``);
 and the three separate bodies of the monotonicity comparisons that
 ``harness.Perturbation.compare`` merged into one.  The differential tests require the library to agree with
 them exactly, witnesses and reports included.
@@ -23,7 +25,6 @@ from pickseq.core import (
 from pickseq.fairness import FairnessVerdict, Witness
 from pickseq.harness import MonotonicityReport
 from pickseq.methods import DivisorFunction, PrecisionError, Rule
-from pickseq.mwnw import weight_exponents
 
 
 def _sign(q) -> int:
@@ -301,6 +302,15 @@ def welfare_rank(n: int, utilities, exponents) -> tuple:
     for i in support:
         product *= utilities[i] ** exponents[i]
     return len(support), tuple(-i for i in support), product
+
+
+def weight_exponents(weights) -> tuple[int, ...]:
+    """The Fraction weights as the smallest proportional integers: times
+    the lcm of their denominators, then divided by the gcd of the products."""
+    scale = math.lcm(*(w.denominator for w in weights))
+    scaled = [int(w * scale) for w in weights]
+    shrink = math.gcd(*scaled)
+    return tuple(e // shrink for e in scaled)
 
 
 def mwnw_solve(instance: Instance, prune: bool = True) -> Allocation:

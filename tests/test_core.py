@@ -12,6 +12,7 @@ from pickseq.core import (
     Instance,
     ParseError,
     PickingSequence,
+    agents_in_range,
     bundle_utility,
     format_rational,
     integer_weights,
@@ -357,6 +358,50 @@ def test_integer_weights_keep_an_int_tuple_as_it_is():
     # bools and Fractions take the converting path
     assert integer_weights((True, 2)) == (1, 2)
     assert integer_weights((Fraction(4), Fraction(6))) == (4, 6)
+
+
+def test_integer_weights_remember_each_tuple_by_identity():
+    # equal tuples are distinct keys: each int tuple comes back as itself
+    ints, equal_ints = (3, 5), tuple([3, 5])
+    halves, thirds = (Fraction(1, 2), Fraction(1, 3)), ("1/3", "1/2")
+    for _ in range(2):
+        assert integer_weights(ints) is ints
+        assert integer_weights(equal_ints) is equal_ints
+        assert integer_weights(halves) == (3, 2)
+        assert integer_weights(thirds) == (2, 3)
+    scaled = integer_weights(halves)
+    assert integer_weights(halves) is scaled
+
+
+def test_integer_weights_read_a_changed_list_again():
+    weights = [Fraction(1, 2), 1]
+    assert integer_weights(weights) == (1, 2)
+    weights[1] = Fraction(1, 3)
+    assert integer_weights(weights) == (3, 2)
+    weights.append(3)
+    assert integer_weights(weights) == (3, 2, 18)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ((0, 1), ValueError), ((3, -5), ValueError), ((Fraction(0), 1), ValueError),
+    ((Fraction(-1, 2), 1), ValueError), ((3, 0.5), TypeError), ((Fraction(1), 0.5), TypeError),
+    ((1.0, 2.0), TypeError),
+])
+def test_integer_weights_remember_no_failing_tuple(bad, error):
+    for good in ((Fraction(1, 2), Fraction(1, 3)), (1, 2)):
+        scaled = integer_weights(good)
+        for _ in range(2):
+            with pytest.raises(error):
+                integer_weights(bad)
+        # the entry is still the good tuple's: its scaling comes back as it was
+        assert integer_weights(good) is scaled
+
+
+def test_agents_in_range():
+    assert agents_in_range((), 0)
+    assert agents_in_range((0, 2, 1), 3)
+    assert not agents_in_range((0, 3), 3)
+    assert not agents_in_range((-1, 0), 3)
 
 
 def test_instance_perturbation_helpers():

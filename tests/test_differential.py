@@ -124,6 +124,29 @@ def test_quota_sequences_and_random_sequences_match_reference():
         assert_verdicts_match(tuple(rng.randrange(n) for _ in range(m)), weights)
 
 
+def test_remembered_weights_give_the_results_of_a_fresh_tuple():
+    # every call after the first on one tuple reads the entry that
+    # core.integer_weights remembered; equal copies, run in the other order
+    # after a different vector each, and the referee must agree with it
+    rng = random.Random(5123)
+    webster = TRADITIONAL["webster"]
+    draws = [(draw_weights(rng, 3), [rng.randrange(3) for _ in range(rng.randint(1, 12))])
+             for _ in range(60)]
+
+    def results(weights, turns):
+        return (divisor_sequence(webster, 3, 12, weights),
+                [check_sequence(notion, turns, weights) for notion in NOTIONS],
+                check_quota_bounds(turns, weights, mode="every-prefix", bound="both"))
+
+    remembered = [results(weights, turns) for weights, turns in draws]
+    fresh = [results(tuple(list(weights)), turns) for weights, turns in reversed(draws)][::-1]
+    expected = [(reference.divisor_sequence(webster, 3, 12, weights),
+                 [reference.check_sequence(notion, turns, weights) for notion in NOTIONS],
+                 reference.check_quota_bounds(turns, weights, "every-prefix", "both"))
+                for weights, turns in draws]
+    assert remembered == fresh == expected
+
+
 @pytest.mark.parametrize(
     "f",
     FAMILIES

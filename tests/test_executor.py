@@ -51,6 +51,13 @@ def test_length_and_index_validation():
         execute(FLIP, [0, 1, 0, 2, 3])
 
 
+@pytest.mark.parametrize("turns", [[0, 1, 0, 2, 3], [0, 1, 0, 2, -1], [-1, 0, 1, 0, 2]])
+def test_turn_outside_the_agents_is_refused(turns):
+    # a negative turn is no Python index from the end
+    with pytest.raises(ValueError, match=r"sequence references an agent outside 1\.\.3"):
+        execute(FLIP, turns)
+
+
 def test_partition_and_turn_counts_random():
     rng = random.Random(5150)
     for _ in range(120):

@@ -216,8 +216,9 @@ def test_lower_quota_floor_violation():
 def test_quota_bounds_reject_an_agent_with_no_weight(turns, mode):
     # the same refusal as check_sequence, not an IndexError or a count
     # silently moved to the last agent
-    for check in (lambda: check_quota_bounds(turns, (1, 1), mode=mode),
-                  lambda: check_sequence("wef1", turns, (1, 1))):
+    checks = [lambda: check_quota_bounds(turns, (1, 1), mode=mode)]
+    checks += [lambda notion=notion: check_sequence(notion, turns, (1, 1)) for notion in NOTIONS]
+    for check in checks:
         with pytest.raises(ValueError, match="sequence references an agent with no weight"):
             check()
 

@@ -8,7 +8,10 @@ pair, so that drift of a shared host falls on both sides alike.  Then
 ``--setup-runs`` ``--setup-only`` processes per side, again alternating,
 are timed as ``bench/run.py``'s ``measure_setup`` times them: from just
 before the process starts to the ``time.monotonic()`` it prints once its
-inputs are built.
+inputs are built.  Last, ``COLD_STARTS`` direct cold starts of
+``COLD_START_ARGV`` per side, again alternating, are timed by the CPU time
+(user plus system) that ``os.wait4`` reports for each child, as
+``bench/workloads.run_child`` reads it.
 
     python tools/bench_pairs.py HEAD~1 HEAD --pairs 5 --setup-runs 20 --out bench_pairs.json
 
@@ -17,15 +20,17 @@ number of usable cores, whether ``PYTHONDONTWRITEBYTECODE`` was set and
 whether each checkout had a ``__pycache__`` before and after, every run's
 final JSON line, and per workload and end-to-end metric of
 ``BENCHMARK.json`` each side's median and quartiles and the pairs each side
-won (ties count for neither).  Each revision is also recorded by the git
+won (ties count for neither), and the same for the cold starts' CPU
+time.  Each revision is also recorded by the git
 ids of ``src``, the benchmark's ``paths`` and ``BENCHMARK.json``, so a
 record can be matched to any commit that holds the same files.  Standard
 output gets the table of medians in Markdown; progress goes to standard
 error.  A run or ``--setup-only`` process that exits with an error is
 recorded as ``{"error": "exit <status>: <end of its stderr>"}`` and left
-out of the medians.  The exit status is 1 if any run crashed, was
-incorrect or had a failed operation, or any ``--setup-only`` process
-failed, after the file and the table are written.
+out of the medians, as is a cold start that fails.  The exit status is 1
+if any run crashed, was incorrect or had a failed operation, or any
+``--setup-only`` process or cold start failed, after the file and the
+table are written.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ from pathlib import Path
 
 SIDES = ("base", "head")
 RUN_TIMEOUT_S = 900
+COLD_STARTS = 30
+COLD_START_ARGV = ["-m", "pickseq", "sequence", "--method", "webster", "--weights", "3,5,7",
+                   "--turns", "12", "--json"]
 
 
 def git(*args: str) -> bytes:
@@ -91,6 +99,23 @@ def setup_seconds(checkout: Path, workload: str, seed: int) -> float | dict:
     return failure(done) or float(done.stdout.split()[-1]) - start
 
 
+def cold_start_cpu(checkout: Path) -> float | dict:
+    """One direct cold start of the CLI: its CPU seconds, or the failure."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    argv = [sys.executable, *COLD_START_ARGV]
+    with tempfile.TemporaryFile("w+") as stderr:
+        proc = subprocess.Popen(argv, cwd=checkout, env=env, stdout=subprocess.PIPE,
+                                stderr=stderr, text=True)
+        with proc.stdout:
+            stdout = proc.stdout.read()
+        # reap with wait4, not Popen.wait, to read this child's own rusage
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        stderr.seek(0)
+        done = subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr.read())
+    return failure(done) or usage.ru_utime + usage.ru_stime
+
+
 def run_ok(run: dict) -> bool:
     """Whether a run finished, correct and with no failed operation."""
     return "error" not in run and run["correct"] is True and run["failed"] == 0
@@ -119,10 +144,21 @@ def compare(base: list[float], head: list[float], better: str) -> dict:
     return entry
 
 
+def compare_processes(times: dict) -> dict | None:
+    """``compare`` of the per-side seconds of processes, lower is better,
+    over the pairs whose two processes both finished; None if none did."""
+    timed = [(b, h) for b, h in zip(times["base"], times["head"])
+             if not isinstance(b, dict) and not isinstance(h, dict)]
+    if not timed:
+        return None
+    base, head = (list(side) for side in zip(*timed))
+    return {"unit": "s", **compare(base, head, "lower")}
+
+
 def summarize(pairs: list[dict], setups: dict, metrics: list[dict]) -> dict:
     """Per end-to-end metric, over the pairs whose two runs both finished,
-    and for the ``--setup-only`` processes, over the pairs whose two
-    processes both finished: ``compare`` of the two sides."""
+    and for the ``--setup-only`` processes (``compare_processes``):
+    ``compare`` of the two sides."""
     finished = [p for p in pairs if not any("error" in p[side] for side in SIDES)]
     out = {}
     if finished:
@@ -131,12 +167,22 @@ def summarize(pairs: list[dict], setups: dict, metrics: list[dict]) -> dict:
                           for side in SIDES)
             out[metric["name"]] = {"unit": metric["unit"], "bound": metric["bound"],
                                    **compare(base, head, metric["better"])}
-    timed = [(b, h) for b, h in zip(setups["base"], setups["head"])
-             if not isinstance(b, dict) and not isinstance(h, dict)]
-    if timed:
-        base, head = (list(side) for side in zip(*timed))
-        out["setup_only_s"] = {"unit": "s", **compare(base, head, "lower")}
+    setup = compare_processes(setups)
+    if setup:
+        out["setup_only_s"] = setup
     return out
+
+
+def failed_count(times: dict) -> dict:
+    """Per side, the processes that failed."""
+    return {side: sum(isinstance(t, dict) for t in times[side]) for side in SIDES}
+
+
+def table_row(label: str, name: str, m: dict) -> str:
+    change = f"{m['change']:+.1%}" if "change" in m else "-"
+    return (f"| {label} | {name} ({m['unit']}) | {m['base']['median']:.4g} | "
+            f"{m['head']['median']:.4g} | {change} | "
+            f"{m['pairs_won']['base']}/{m['pairs_won']['head']} |")
 
 
 def medians_table(result: dict) -> str:
@@ -147,17 +193,19 @@ def medians_table(result: dict) -> str:
              "|---|---|---|---|---|---|"]
     for workload, entry in result["workloads"].items():
         for name, m in entry["summary"].items():
-            change = f"{m['change']:+.1%}" if "change" in m else "-"
-            lines.append(f"| {workload} | {name} ({m['unit']}) | {m['base']['median']:.4g} | "
-                         f"{m['head']['median']:.4g} | {change} | "
-                         f"{m['pairs_won']['base']}/{m['pairs_won']['head']} |")
+            lines.append(table_row(workload, name, m))
         failed = {side: sum(not run_ok(p[side]) for p in entry["pairs"]) for side in SIDES}
         lines.append(f"| {workload} | runs failed or incorrect | {failed['base']} | "
                      f"{failed['head']} | | |")
-        failed = {side: sum(isinstance(t, dict) for t in entry["setup_only_s"][side])
-                  for side in SIDES}
+        failed = failed_count(entry["setup_only_s"])
         lines.append(f"| {workload} | setup-only processes failed | {failed['base']} | "
                      f"{failed['head']} | | |")
+    cold = result["cold_start_cpu_s"]
+    label = f"cold start, {cold['runs']} per side"
+    if cold["summary"]:
+        lines.append(table_row(label, "CPU time", cold["summary"]))
+    failed = failed_count(cold["times"])
+    lines.append(f"| {label} | cold starts failed | {failed['base']} | {failed['head']} | | |")
     return "\n".join(lines)
 
 
@@ -200,6 +248,11 @@ def main(argv: list[str] | None = None) -> int:
                     setups[side].append(setup_seconds(checkouts[side], workload, args.seed))
             workloads[workload] = {"pairs": pairs, "setup_only_s": setups,
                                    "summary": summarize(pairs, setups, spec["end_to_end"])}
+        print(f"{COLD_STARTS} cold starts per side", file=sys.stderr)
+        cold = {side: [] for side in SIDES}
+        for i in range(COLD_STARTS):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                cold[side].append(cold_start_cpu(checkouts[side]))
         result = {
             "command": [Path(sys.executable).name, *sys.argv],
             "revisions": revisions,
@@ -212,12 +265,15 @@ def main(argv: list[str] | None = None) -> int:
             "seconds": seconds,
             "setup_runs": args.setup_runs,
             "workloads": workloads,
+            "cold_start_cpu_s": {"argv": ["python", *COLD_START_ARGV], "runs": COLD_STARTS,
+                                 "times": cold, "summary": compare_processes(cold)},
         }
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(medians_table(result))
     runs = [p[side] for entry in workloads.values() for p in entry["pairs"] for side in SIDES]
-    setups = [t for entry in workloads.values() for side in SIDES for t in entry["setup_only_s"][side]]
-    ok = all(map(run_ok, runs)) and not any(isinstance(t, dict) for t in setups)
+    processes = [t for entry in workloads.values() for side in SIDES
+                 for t in entry["setup_only_s"][side]] + cold["base"] + cold["head"]
+    ok = all(map(run_ok, runs)) and not any(isinstance(t, dict) for t in processes)
     return 0 if ok else 1
 
 
