@@ -139,12 +139,15 @@ def check_population_consistency_pair(
     """True iff deleting the new agent's picks from pi_n1 leaves a prefix of pi_n.
 
     That is exactly the reachable set of "insert the new agent in some
-    positions, then trim back to length m".
+    positions, then trim back to length m".  A new agent has no turn in
+    pi_n, so one that has is refused.
     """
     base = turns_of(pi_n)
     grown = turns_of(pi_n1)
     if len(base) != len(grown):
         raise ValueError("population consistency compares sequences of equal length")
+    if new_agent in base:
+        raise ValueError("population consistency needs a new agent with no turn in the base sequence")
     kept = tuple(a for a in grown if a != new_agent)
     return base[: len(kept)] == kept
 

@@ -8,31 +8,25 @@ generators, the executor, the solver, or the verifiers shows up here.
 A monotonicity case is one harness comparison; the sequences or bundles it
 shows come from the rule's own ``Rule.sequence_for`` and ``Rule.run``.
 
-The matrix certifies each cell one way: a negative cell with a stored
-counterexample replays it (``REFUTED``), and every other cell is one seeded
-``harness.scan``, which must find nothing on a positive cell and a
-violation on a negative one.
+The matrix certifies each cell one way.  A negative cell that a catalog
+case names in its ``refutes`` field replays that case and reads its claim;
+the two negative cells that no case names replay a stored sequence
+(``STORED_SEQUENCES``).  Every other cell is one seeded ``harness.scan``,
+which must find nothing on a positive cell and a violation on a negative
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .core import Instance, format_rational
 from .fairness import check_allocation, check_sequence
 from .harness import PERTURBATIONS, check_weight_consistency_pair, scan
-from .methods import (
-    RULES,
-    TRADITIONAL,
-    WEBSTER,
-    Rule,
-    divisor_rule,
-    divisor_sequence,
-    quota_sequence,
-    rule_from_name,
-)
+from .methods import RULES, TRADITIONAL, Rule, divisor_rule, rule_from_name
 
 # Fixed seed for every randomized certification in this module.
 SCAN_SEED = 914
@@ -91,14 +85,25 @@ class CaseResult:
 
 @dataclass(frozen=True)
 class NamedCase:
+    """A catalog case: its run, the values it must give, and the (rule,
+    property) cell of the summary table its counterexample refutes, if any."""
+
     id: str
     description: str
     expected: dict
     runner: Callable[[], dict]
+    refutes: tuple[str, str] | None = None
 
     def run(self) -> CaseResult:
         actual = self.runner()
         return CaseResult(self.id, actual == self.expected, self.expected, actual)
+
+    def property_holds(self) -> bool:
+        """Run the case and read whether the property of the cell it refutes
+        held: no monotonicity violation, or the fairness notion's verdict."""
+        prop = self.refutes[1]
+        actual = self.runner()
+        return not actual["violated"] if prop.endswith("_monotone") else actual[f"{prop}_holds"]
 
 
 # What a case may show of the rule's run on each instance, 1-indexed.
@@ -163,29 +168,6 @@ def _weightmon_expected(method: str) -> dict:
     }
 
 
-def _run_quota_weightmon() -> dict:
-    base = _weightmon_instance(False, QUOTA_FLIP_WEIGHTS)
-    return _monotonicity_case(QUOTA, base, "weight", 0, Fraction(11, 18), show="sequence")
-
-
-def _run_quota_popmon() -> dict:
-    base = Instance(
-        (Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)),
-        ((2, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
-    )
-    return _monotonicity_case(QUOTA, base, "population", Fraction(1, 3), (0, 0, 1), show="sequence")
-
-
-def _run_mnw_resmon() -> dict:
-    base = Instance((1, 1), ((3, 2, 2), (2, 2, 1)))
-    return _monotonicity_case(MWNW, base, "resource", (2, 1), show="bundles")
-
-
-def _run_mnw_popmon() -> dict:
-    base = Instance((1, 1), ((2, 3, 3, 2), (1, 2, 1, 3)))
-    return _monotonicity_case(MWNW, base, "population", 1, (2, 1, 1, 3), show="bundles")
-
-
 def _mwnw_fairness_case(weights, utilities, *notions: str) -> dict:
     """The MWNW allocation's bundle sizes, whether it satisfies each notion,
     and the first notion's witness."""
@@ -199,40 +181,6 @@ def _mwnw_fairness_case(weights, utilities, *notions: str) -> dict:
         "lhs": format_rational(witness.lhs) if witness else None,
         "rhs": format_rational(witness.rhs) if witness else None,
     }
-
-
-def _run_mwnw_wprop1() -> dict:
-    # a heavy agent with uniform utilities: positive welfare forces one
-    # item per agent, far below the heavy agent's proportional share
-    weights = (Fraction(8, 10), Fraction(1, 10), Fraction(1, 10))
-    return _mwnw_fairness_case(weights, ((1, 1, 1),) * 3, "wprop1")
-
-
-def _run_mwnw_wef1() -> dict:
-    # identical items, weight ratio 4: the welfare-maximal split is 1 vs 6,
-    # which the lighter agent envies by more than one item
-    return _mwnw_fairness_case((1, 4), ((1,) * 7,) * 2, "wef1", "wwef1")
-
-
-def _run_ecycle_resmon() -> dict:
-    base = Instance((1, 1, 1), ((10, 5, 1), (6, 1, 2), (0, 4, 1)))
-    return _monotonicity_case(
-        RULES["ecycle"], base, "resource", (11, 1, 0), agent=2, label="agent3_utility"
-    )
-
-
-def _run_aw_resmon() -> dict:
-    eps = Fraction(1, 10)
-    base = Instance(
-        (1, 1),
-        (
-            (1 - eps, 2 * eps, 1),
-            (Fraction(3, 2) * (1 - eps), 4 * eps, 3),
-        ),
-    )
-    return _monotonicity_case(
-        RULES["aw"], base, "resource", (eps, eps), label="agent1_utility"
-    )
 
 
 def _run_quota_weight_consistency() -> dict:
@@ -274,25 +222,11 @@ TABLE_EXPECTED = {
     "mwnw": dict(zip(TABLE_PROPERTIES, (False, False, True, False, True, False))),
 }
 
-# The thirteen negative cells refuted by a stored or hand-built
-# counterexample; each entry returns whether the property held on it.
-REFUTED: dict[tuple[str, str], Callable[[], bool]] = {
-    **{
-        (method, "weight_monotone"): (lambda m=method: not _run_weightmon_divisor(m)["violated"])
-        for method in WEIGHTMON_WEIGHTS
-    },
-    ("quota", "population_monotone"): lambda: not _run_quota_popmon()["violated"],
-    ("quota", "weight_monotone"): lambda: not _run_quota_weightmon()["violated"],
-    ("mwnw", "resource_monotone"): lambda: not _run_mnw_resmon()["violated"],
-    ("mwnw", "population_monotone"): lambda: not _run_mnw_popmon()["violated"],
-    ("mwnw", "wef1"): lambda: _run_mwnw_wef1()["wef1_holds"],
-    ("mwnw", "wprop1"): lambda: _run_mwnw_wprop1()["wprop1_holds"],
-    ("quota", "wef1"): lambda: check_sequence(
-        "wef1", quota_sequence(3, 5, QUOTA_FLIP_WEIGHTS), QUOTA_FLIP_WEIGHTS
-    ).holds,
-    ("webster", "wprop1"): lambda: check_sequence(
-        "wprop1", divisor_sequence(WEBSTER, 4, 5, WEBSTER_WPROP1_WEIGHTS), WEBSTER_WPROP1_WEIGHTS
-    ).holds,
+# The two negative cells that no catalog case refutes: the rule's sequence
+# of m turns on these weights, (m, weights), fails the notion.
+STORED_SEQUENCES = {
+    ("quota", "wef1"): (5, QUOTA_FLIP_WEIGHTS),
+    ("webster", "wprop1"): (5, WEBSTER_WPROP1_WEIGHTS),
 }
 
 
@@ -321,13 +255,18 @@ def _run_table_matrix() -> dict:
         for name in TABLE_RULES
         for prop in props
     ]
+    refuting = {c.refutes: c for c in _CATALOG if c.refutes is not None}
     cells: dict[str, dict[str, bool]] = {name: {} for name in TABLE_RULES}
     for seed, (name, prop) in enumerate(order, start=7001):
-        if (name, prop) in REFUTED:
-            cells[name][prop] = REFUTED[name, prop]()
+        rule = rule_from_name(name)
+        if (name, prop) in refuting:
+            cells[name][prop] = refuting[name, prop].property_holds()
+        elif (name, prop) in STORED_SEQUENCES:
+            m, weights = STORED_SEQUENCES[name, prop]
+            sequence = rule.sequence_for(len(weights), m, weights)
+            cells[name][prop] = check_sequence(prop, sequence, weights).holds
         else:
             bounds = _scan_bounds(name, prop, seed)
-            rule = rule_from_name(name)
             cells[name][prop] = scan(rule, prop.removesuffix("_monotone"), *bounds) is None
     return cells
 
@@ -339,7 +278,8 @@ _CATALOG = (
             f"{method}: raising the largest weight flips the picking order "
             "and drops that agent's utility by 6",
             _weightmon_expected(method),
-            lambda m=method: _run_weightmon_divisor(m),
+            partial(_run_weightmon_divisor, method),
+            (method, "weight_monotone"),
         )
         for method in WEIGHTMON_WEIGHTS
     ),
@@ -353,7 +293,15 @@ _CATALOG = (
             "utility_modified": "3",
             "violated": True,
         },
-        _run_quota_popmon,
+        lambda: _monotonicity_case(
+            QUOTA,
+            Instance(
+                (Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)),
+                ((2, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
+            ),
+            "population", Fraction(1, 3), (0, 0, 1), show="sequence",
+        ),
+        ("quota", "population_monotone"),
     ),
     NamedCase(
         "p52-quota-weightmon",
@@ -365,7 +313,11 @@ _CATALOG = (
             "utility_boosted": "19",
             "violated": True,
         },
-        _run_quota_weightmon,
+        lambda: _monotonicity_case(
+            QUOTA, _weightmon_instance(False, QUOTA_FLIP_WEIGHTS), "weight", 0, Fraction(11, 18),
+            show="sequence",
+        ),
+        ("quota", "weight_monotone"),
     ),
     NamedCase(
         "p61-mnw-resmon",
@@ -377,7 +329,10 @@ _CATALOG = (
             "utility_modified": "4",
             "violated": True,
         },
-        _run_mnw_resmon,
+        lambda: _monotonicity_case(
+            MWNW, Instance((1, 1), ((3, 2, 2), (2, 2, 1))), "resource", (2, 1), show="bundles"
+        ),
+        ("mwnw", "resource_monotone"),
     ),
     NamedCase(
         "p61-mnw-popmon",
@@ -389,8 +344,14 @@ _CATALOG = (
             "utility_modified": "6",
             "violated": True,
         },
-        _run_mnw_popmon,
+        lambda: _monotonicity_case(
+            MWNW, Instance((1, 1), ((2, 3, 3, 2), (1, 2, 1, 3))), "population", 1, (2, 1, 1, 3),
+            show="bundles",
+        ),
+        ("mwnw", "population_monotone"),
     ),
+    # a heavy agent with uniform utilities: positive welfare forces one
+    # item per agent, far below the heavy agent's proportional share
     NamedCase(
         "p63-mwnw-wprop1",
         "weighted max Nash welfare: uniform utilities force one item each, "
@@ -401,7 +362,11 @@ _CATALOG = (
             "lhs": "1",
             "rhs": "7/5",
         },
-        _run_mwnw_wprop1,
+        partial(
+            _mwnw_fairness_case,
+            (Fraction(8, 10), Fraction(1, 10), Fraction(1, 10)), ((1, 1, 1),) * 3, "wprop1",
+        ),
+        ("mwnw", "wprop1"),
     ),
     NamedCase(
         "pa1-ecycle-resmon",
@@ -411,7 +376,10 @@ _CATALOG = (
             "agent3_utility_modified": "0",
             "violated": True,
         },
-        _run_ecycle_resmon,
+        lambda: _monotonicity_case(
+            RULES["ecycle"], Instance((1, 1, 1), ((10, 5, 1), (6, 1, 2), (0, 4, 1))),
+            "resource", (11, 1, 0), agent=2, label="agent3_utility",
+        ),
     ),
     NamedCase(
         "pa2-aw-resmon",
@@ -421,7 +389,11 @@ _CATALOG = (
             "agent1_utility_modified": "1",
             "violated": True,
         },
-        _run_aw_resmon,
+        lambda eps=Fraction(1, 10): _monotonicity_case(
+            RULES["aw"],
+            Instance((1, 1), ((1 - eps, 2 * eps, 1), (Fraction(3, 2) * (1 - eps), 4 * eps, 3))),
+            "resource", (eps, eps), label="agent1_utility",
+        ),
     ),
     NamedCase(
         "pb1-quota-weightconsistency",
@@ -437,6 +409,8 @@ _CATALOG = (
         },
         _run_quota_weight_consistency,
     ),
+    # identical items, weight ratio 4: the welfare-maximal split is 1 vs 6,
+    # which the lighter agent envies by more than one item
     NamedCase(
         "mwnw-wef1",
         "weighted max Nash welfare: identical items at weight ratio 4 "
@@ -448,7 +422,8 @@ _CATALOG = (
             "lhs": "1",
             "rhs": "5/4",
         },
-        _run_mwnw_wef1,
+        partial(_mwnw_fairness_case, (1, 4), ((1,) * 7,) * 2, "wef1", "wwef1"),
+        ("mwnw", "wef1"),
     ),
     NamedCase(
         "table1-matrix",
@@ -465,14 +440,10 @@ def catalog() -> tuple[NamedCase, ...]:
     return _CATALOG
 
 
-def case(case_id: str) -> NamedCase:
+def run_case(case_id: str) -> CaseResult:
     if case_id not in _BY_ID:
         raise ValueError(f"unknown case id {case_id!r}")
-    return _BY_ID[case_id]
-
-
-def run_case(case_id: str) -> CaseResult:
-    return case(case_id).run()
+    return _BY_ID[case_id].run()
 
 
 COUNTEREXAMPLE_IDS = tuple(c.id for c in _CATALOG if c.id != "table1-matrix")

@@ -115,6 +115,14 @@ def test_round_robin_sequences():
     assert round_robin_sequence(1, 4).turns == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("n, m, message", [(0, 3, "need at least one agent"),
+                                           (2, -1, "item count must be non-negative")])
+def test_round_robin_argument_errors(n, m, message):
+    with pytest.raises(ValueError) as info:
+        round_robin_sequence(n, m)
+    assert str(info.value) == message
+
+
 def test_round_robin_allocations_are_ef1_random():
     rng = random.Random(703)
     for _ in range(150):

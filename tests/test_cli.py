@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from pickseq.cli import MAX_AGENTS, MAX_BUDGET, MAX_SCAN_BOUNDS, MAX_TURNS, main
+from pickseq.core import format_rational, parse_instance
 from pickseq.harness import check_weight_consistency_pair
-from pickseq.methods import rule_from_name
+from pickseq.methods import RULES, rule_from_name
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +55,35 @@ def test_allocate_inline_instance(capsys):
     assert payload["bundles"] == [[1, 3, 4], [2], [5]]
     assert payload["utilities"] == ["25", "10", "9"]
     assert payload["sequence"] == [1, 2, 1, 3, 1]
+
+
+TWO_AGENT_DOC = json.dumps({"agents": [1, 2], "items": 3, "utilities": [[3, 1, 2], [1, 2, 2]]})
+
+
+@pytest.mark.parametrize("name, doc", [("mwnw", INSTANCE_DOC), ("ecycle", INSTANCE_DOC),
+                                       ("aw", TWO_AGENT_DOC)])
+def test_allocate_with_an_allocation_rule(capsys, name, doc):
+    code, out, err = run_cli(capsys, "allocate", "--method", name, "--instance", doc, "--json")
+    assert code == 0 and err == ""
+    instance = parse_instance(doc)
+    allocation = RULES[name].run(instance)
+    assert json.loads(out) == {
+        "method": name,
+        "bundles": [sorted(g + 1 for g in b) for b in allocation.bundles],
+        "utilities": [format_rational(sum(instance.utilities[i][g] for g in b))
+                      for i, b in enumerate(allocation.bundles)],
+    }
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--method", "aw", "--instance", INSTANCE_DOC],
+     "error: adjusted winner requires exactly two agents\n"),
+    (["--method", "mwnw", "--instance", INSTANCE_DOC, "--budget", "1"],
+     "error: 3^5 assignments exceed the budget of 1; reduce the instance or raise the budget\n"),
+], ids=["aw-three-agents", "mwnw-budget-1"])
+def test_allocate_with_an_allocation_rule_refusals_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, "allocate", *argv)
+    assert code == 2 and out == "" and err == message
 
 
 def test_fairness_sequence_violation_exit_code(capsys):
@@ -214,6 +244,16 @@ def test_consistency_population_pair(capsys):
     assert "holds" in out
 
 
+@pytest.mark.parametrize("base, modified", [("[1,2,1]", "[1,2,1]"), ("[1,3,2]", "[1,2,3]")])
+def test_consistency_population_new_agent_with_a_base_turn_exit_two(capsys, base, modified):
+    # a new agent has no turn in the base sequence, so no verdict is given
+    code, out, err = run_cli(capsys, "consistency", "--kind", "population",
+                             "--base", base, "--modified", modified, "--new-agent", "2")
+    assert code == 2 and out == ""
+    assert err == ("error: population consistency needs a new agent with no turn "
+                   "in the base sequence\n")
+
+
 def test_consistency_population_from_method(capsys):
     code, out, _ = run_cli(
         capsys, "consistency", "--kind", "population", "--method", "quota",
@@ -361,6 +401,11 @@ NOT_A_TABLE = 'custom table: expected an object whose "values" is a list'
         ('{"values": 5}', NOT_A_TABLE),
         ('{"tail_offset": 1}', NOT_A_TABLE),
         ('{"values": [1, 2,]}', "error: custom table: invalid JSON: Expecting value"),
+        ('{"values": []}', "error: custom divisor function needs a value table"),
+        ('{"values": [1, 1]}', "error: custom table is not strictly increasing at t=1"),
+        ('{"values": [1], "tail_offset": 2}', "error: custom tail offset must lie in [0, 1]"),
+        ('{"values": ["1/2", 2], "tail_offset": 0}',
+         "error: custom tail is not strictly increasing at the seam"),
     ],
 )
 def test_malformed_custom_table_exit_two(capsys, tmp_path, document, message):
@@ -710,6 +755,13 @@ def test_inexact_method_is_refused(capsys):
     assert code == 2
     assert "powermean:1/2,1/2 has no exact comparison and is not available from the CLI" in err
     assert "allow_approx" not in err
+
+
+@pytest.mark.parametrize("method", ["powermean:1", "powermean:1,1/2,1"])
+def test_power_mean_needs_two_parameters_exit_two(capsys, method):
+    code, out, err = run_cli(capsys, "sequence", "--method", method, "--weights", "1,2", "--turns", "3")
+    assert code == 2 and out == ""
+    assert err == "error: powermean takes two parameters: powermean:p,w\n"
 
 
 def test_json_output_deterministic(capsys):

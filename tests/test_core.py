@@ -533,12 +533,59 @@ def test_parse_instance_rejects_negative_utility():
         ({"agents": [1], "items": None, "utilities": [[1]]}, "items"),
         ({"agents": [1], "items": 2, "utilities": [[1]]}, "utilities"),
         ({"agents": [1], "items": 1, "utilities": [[1], [2]]}, "utilities"),
+        # the field with its whole message
+        ("[1, 2]", "document: top level must be a JSON object"),
+        ({"agents": [1], "items": -1, "utilities": [[]]}, "items: item count must be non-negative"),
+        ({"agents": [1], "items": "3", "utilities": [[1, 1, 1]]},
+         "items: must be an integer count or a list of names"),
+        ({"agents": [1], "items": True, "utilities": [[1]]},
+         "items: must be an integer count or a list of names"),
     ],
 )
 def test_parse_instance_names_offending_field(doc, field):
     with pytest.raises(ParseError) as err:
         parse_instance(doc)
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "parse, doc, message",
+    [
+        (parse_allocation, '{"bundles": {"1": [1]}}', "bundles: must be a list of item lists"),
+        (parse_allocation, '{"bundles": [[1], 2]}', "bundles[1]: must be a list of 1-indexed items"),
+        (parse_sequence, '{"turns": "1 2 1"}', "turns: must be a list of 1-indexed agents"),
+        (parse_sequence, {"turns": None}, "turns: must be a list of 1-indexed agents"),
+    ],
+)
+def test_parse_allocation_and_sequence_name_offending_field(parse, doc, message):
+    with pytest.raises(ParseError) as err:
+        parse(doc)
+    assert str(err.value) == message
+
+
+# Each constructor refusal, with its message.
+CONSTRUCTOR_ERRORS = {
+    "Instance rows of unequal length": (
+        lambda: Instance((1, 1), ((1, 2), (1,))), "utility rows must all have the same length"),
+    "agent_names of the wrong length": (
+        lambda: Instance((1, 1), ((1,), (1,)), agent_names=("a",)),
+        "agent_names length must equal the agent count"),
+    "item_names of the wrong length": (
+        lambda: Instance((1,), ((1, 2),), item_names=("x", "y", "z")),
+        "item_names length must equal the item count"),
+    "Allocation negative item": (
+        lambda: Allocation((frozenset({0}), frozenset({-1}))), "item indices must be non-negative"),
+    "PickingSequence negative agent": (
+        lambda: PickingSequence((0, -1, 0)), "agent indices must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTOR_ERRORS))
+def test_constructor_errors(case):
+    build, message = CONSTRUCTOR_ERRORS[case]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_allocation_and_sequence_documents_one_indexed():

@@ -8,6 +8,8 @@ import pytest
 from pickseq.core import Allocation, Instance
 from pickseq.executor import execute
 from pickseq.fairness import (
+    FairnessVerdict,
+    Witness,
     check_allocation,
     check_quota_bounds,
     check_sequence,
@@ -277,6 +279,19 @@ def test_notion_validation():
         check_quota_bounds([0], (1,), mode="sometimes")
     with pytest.raises(ValueError):
         divisor_wwef1_condition(ADAMS, 0)
+
+
+def test_verdict_and_bound_refusals():
+    witness = Witness(Fraction(0), Fraction(1), agent=0)
+    with pytest.raises(ValueError) as info:
+        FairnessVerdict("wef1", True, witness)
+    assert str(info.value) == "a passing verdict carries no witness"
+    with pytest.raises(ValueError) as info:
+        FairnessVerdict("wef1", False)
+    assert str(info.value) == "a failing verdict must carry a witness"
+    with pytest.raises(ValueError) as info:
+        check_quota_bounds([0, 1], (1, 1), bound="upper")
+    assert str(info.value) == "bound must be 'lower' or 'both'"
 
 
 def test_webster_wprop1_certificate_up_to_three_agents():

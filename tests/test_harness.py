@@ -129,6 +129,14 @@ def test_compare_weight_requires_increase():
         PERTURBATIONS["weight"].compare(QUOTA, base, 0, 2)
 
 
+def test_weight_perturbation_agent_out_of_range():
+    base = Instance((2, 1), ((1, 0), (0, 1)))
+    for agent in (2, -1):
+        with pytest.raises(ValueError) as info:
+            PERTURBATIONS["weight"].perturb(base, agent, 3)
+        assert str(info.value) == f"agent index {agent} out of range"
+
+
 def test_adjusted_winner_rule_needs_two_agents():
     base = Instance((1, 1, 1), ((1, 1), (1, 1), (1, 1)))
     with pytest.raises(ValueError):
@@ -164,6 +172,26 @@ def test_population_pair_examples():
     assert not check_population_consistency_pair([0, 1, 0], [0, 2, 0], new_agent=2)
     # appending the new agent and trimming nothing extra
     assert check_population_consistency_pair([0, 1, 0], [0, 1, 2], new_agent=2)
+
+
+@pytest.mark.parametrize("check, message", [
+    (check_population_consistency_pair, "population consistency compares sequences of equal length"),
+    (check_weight_consistency_pair, "weight consistency compares sequences of equal length"),
+])
+def test_consistency_pairs_need_equal_lengths(check, message):
+    with pytest.raises(ValueError) as info:
+        check([0, 1, 0], [0, 1], 2)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("pi_n, pi_n1, new_agent", [([0, 1, 0], [0, 1, 0], 1),
+                                                     ([0, 2, 1], [0, 1, 2], 2)])
+def test_population_pair_refuses_a_new_agent_with_a_base_turn(pi_n, pi_n1, new_agent):
+    # a new agent has no turn in pi_n, so the pair has no verdict
+    with pytest.raises(ValueError) as info:
+        check_population_consistency_pair(pi_n, pi_n1, new_agent)
+    assert str(info.value) == ("population consistency needs a new agent with no turn "
+                               "in the base sequence")
 
 
 def test_population_pair_divisor_generated_random():

@@ -11,6 +11,7 @@ from pickseq.methods import (
     RULES,
     TRADITIONAL,
     WEBSTER,
+    DivisorFunction,
     PrecisionError,
     Rule,
     compare_scores,
@@ -193,6 +194,29 @@ def test_custom_table_validation():
     bare = custom([Fraction(0), Fraction(1)])
     with pytest.raises(ValueError):
         bare.rational_value(2)
+
+
+# Each refusal of a bad divisor function or argument, with its message.
+ARGUMENT_ERRORS = {
+    "powermean without p and w": (
+        lambda: DivisorFunction("powermean"), "power mean needs both p and w"),
+    "unknown kind": (
+        lambda: DivisorFunction("hamilton"), "unknown divisor function kind 'hamilton'"),
+    "order_form(-1)": (
+        lambda: ADAMS.order_form(-1), "divisor functions are defined for t >= 0"),
+    "compare_scores negative count": (
+        lambda: compare_scores(WEBSTER, 0, 1, -1, 1), "pick counts must be non-negative"),
+    "divisor_sequence weight count": (
+        lambda: divisor_sequence(WEBSTER, 3, 4, (1, 2)), "need 3 weights, got 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_ERRORS))
+def test_argument_errors(case):
+    call, message = ARGUMENT_ERRORS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_divisor_from_name():

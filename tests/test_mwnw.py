@@ -45,6 +45,14 @@ def test_score_all_empty_is_zero_class():
     assert all_empty.support == frozenset()
 
 
+def test_scores_of_different_instances_do_not_compare():
+    two = score(Instance((1, 1), ((1,), (1,))), Allocation((frozenset({0}), frozenset())))
+    one = score(Instance((1,), ((1,),)), Allocation((frozenset({0}),)))
+    with pytest.raises(ValueError) as info:
+        two.compare(one)
+    assert str(info.value) == "scores of different instances are not comparable"
+
+
 def test_score_unit_exponents():
     inst = Instance((1, 1, 1), ((2, 3, 3, 2), (1, 2, 1, 3), (2, 1, 1, 3)))
     alloc = Allocation((frozenset({1, 2}), frozenset({3}), frozenset({0})))

@@ -91,6 +91,35 @@ def test_table_expected_matches_documented_matrix():
     assert t["jefferson"]["wprop1"] and t["quota"]["wprop1"] and not t["adams"]["wprop1"]
 
 
+REFUTED_CELLS = {
+    *{(method, "weight_monotone") for method in ("adams", "jefferson", "webster", "hill", "dean")},
+    ("quota", "population_monotone"),
+    ("quota", "weight_monotone"),
+    ("mwnw", "resource_monotone"),
+    ("mwnw", "population_monotone"),
+    ("mwnw", "wef1"),
+    ("mwnw", "wprop1"),
+}
+
+
+def test_catalog_cases_refute_their_summary_cells():
+    # the matrix replays these cases for their cells, so a dropped tag would
+    # leave the cell to the shared seeded scan; each tag names a negative
+    # cell, and the tagged case's own claim fails
+    tagged = [c for c in repro.catalog() if c.refutes is not None]
+    assert {c.refutes for c in tagged} == REFUTED_CELLS and len(tagged) == len(REFUTED_CELLS)
+    for c in tagged:
+        name, prop = c.refutes
+        assert repro.TABLE_EXPECTED[name][prop] is False
+        assert c.property_holds() is False, c.id
+    # the two negative cells no case covers replay a stored sequence
+    negatives = {(name, prop) for name, row in repro.TABLE_EXPECTED.items()
+                 for prop, holds in row.items() if not holds}
+    assert set(repro.STORED_SEQUENCES) == {("quota", "wef1"), ("webster", "wprop1")}
+    assert not set(repro.STORED_SEQUENCES) & REFUTED_CELLS
+    assert set(repro.STORED_SEQUENCES) <= negatives
+
+
 GOLDEN_REPRO_ALL = Path(__file__).resolve().parent / "golden" / "repro_all.json"
 
 
