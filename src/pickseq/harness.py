@@ -7,8 +7,13 @@ always an increase.  A rule is resource-monotone when no agent loses from
 the extra item, population-monotone when no incumbent gains from the extra
 agent, and weight-monotone when the boosted agent never loses.  Each kind
 is one ``Perturbation`` record in ``PERTURBATIONS``, and its
-``compare(rule, base, *args)`` is the one monotonicity comparison that
-``scan``, the CLI and the repro catalog run.
+``decide(rule, base, *args)`` is the one monotonicity decision: it runs the
+rule on both instances and decides each tracked agent on the integer
+bundle sums of ``Instance.scaled_utilities``, cross-multiplied by the two
+row scales, with no Fraction.  ``compare``, which the CLI and the repro
+catalog run, builds the ``MonotonicityReport`` of that decision; ``scan``
+makes the decision on every trial and builds the report, and the
+Fractions in it, only for the trial that violates.
 
 The consistency predicates relate picking sequences of neighboring problem
 sizes structurally (prefix, insert-and-trim, move-earlier-insert-and-trim)
@@ -24,7 +29,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import Instance, PickingSequence, _as_rational, allocation_utilities, turns_of
+from .core import Allocation, Instance, PickingSequence, _as_rational, turns_of
 from .fairness import NOTIONS, FairnessVerdict, check_allocation, check_sequence, zero_one_instance
 from .methods import Rule
 
@@ -62,33 +67,63 @@ def _raise_weight(base: Instance, agent: int, weight) -> Instance:
     return base.replace_weight(agent, weight)
 
 
+def _bundle_sums(instance: Instance, allocation: Allocation) -> tuple[list[int], tuple[int, ...]]:
+    """Each agent's scaled row summed over the agent's bundle, and the row
+    scales: an agent's utility is the sum divided by the scale.  Raises
+    unless the allocation partitions the instance's items."""
+    allocation.validate_for(instance)
+    scales, rows = instance.scaled_utilities
+    return [sum(map(row.__getitem__, b)) for row, b in zip(rows, allocation.bundles)], scales
+
+
 class Perturbation(NamedTuple):
     """One monotonicity kind: its name, the perturbation of the base
     instance, that perturbation's argument names in call order, ``scan``'s
     seeded draw of those arguments for a base instance, and ``worse``, the
     forbidden move of a tracked agent's utility (``worse(after, before)``).
     Every original agent is tracked, unless ``boosts_first``: then the
-    first argument is the boosted agent, the only one tracked."""
+    first argument is the boosted agent, the only one tracked.
+
+    ``decide`` is the one monotonicity decision, made on integers: ``scan``
+    makes it on every trial and builds a ``report`` of it only for the
+    trial that violates, and ``compare`` is the two in one call."""
 
     kind: str
     perturb: Callable[..., Instance]
     names: tuple[str, ...]
     draw: Callable[[random.Random, Instance], tuple]
-    worse: Callable[[Fraction, Fraction], bool]
+    worse: Callable[[int, int], bool]
     boosts_first: bool = False
+
+    def decide(self, rule: Rule, base: Instance, *args) -> tuple:
+        """Perturb ``base`` by ``args``, run the rule on the base and then on
+        the modified instance, validating each allocation as it comes, and
+        return the tracked agents whose utility after is ``worse`` than
+        before, with each side's ``_bundle_sums``.  Agent i's utilities are
+        a/t after and b/s before, for scaled sums a, b and positive row
+        scales t, s, so ``worse(a * s, b * t)`` decides the agent exactly,
+        even where ``add_item`` rescaled the row, without a Fraction."""
+        modified = self.perturb(base, *args)
+        before = _bundle_sums(base, rule.run(base))
+        after = _bundle_sums(modified, rule.run(modified))
+        (b, s), (a, t), worse = before, after, self.worse
+        tracked = (args[0],) if self.boosts_first else range(base.n)
+        return tuple(i for i in tracked if worse(a[i] * s[i], b[i] * t[i])), before, after
+
+    def report(self, rule: Rule, base: Instance, args: tuple, decision: tuple) -> MonotonicityReport:
+        """The ``MonotonicityReport`` of ``decide(rule, base, *args)``'s
+        result: every agent's utility before, and every original agent's after."""
+        violators, (b, s), (a, t) = decision
+        n = base.n
+        return MonotonicityReport(
+            self.kind, rule.name, tuple(map(Fraction, b, s)), tuple(map(Fraction, a[:n], t[:n])),
+            bool(violators), violators, args[0] if self.boosts_first else None,
+        )
 
     def compare(self, rule: Rule, base: Instance, *args) -> MonotonicityReport:
         """Run the rule before and after perturbing ``base`` by ``args``; a
         tracked agent whose utility after is ``worse`` than before is a violator."""
-        modified = self.perturb(base, *args)
-        before = allocation_utilities(base, rule.run(base))
-        after = allocation_utilities(modified, rule.run(modified))[: base.n]
-        boosted = args[0] if self.boosts_first else None
-        tracked = range(base.n) if boosted is None else (boosted,)
-        violators = tuple(i for i in tracked if self.worse(after[i], before[i]))
-        return MonotonicityReport(
-            self.kind, rule.name, before, after, bool(violators), violators, boosted
-        )
+        return self.report(rule, base, args, self.decide(rule, base, *args))
 
 
 def _draws(rng: random.Random, count: int) -> list[Fraction]:
@@ -290,8 +325,9 @@ def scan(
             continue
 
         args = entry.draw(rng, base)
-        report = entry.compare(rule, base, *args)
-        if report.violated:
+        decision = entry.decide(rule, base, *args)
+        if decision[0]:
             perturbation = {"kind": property, **dict(zip(entry.names, args))}
+            report = entry.report(rule, base, args, decision)
             return found(trial, base, report=report, perturbation=perturbation)
     return None

@@ -9,9 +9,10 @@ search that the library replaced with integer-scaled utility rows (the
 search ranks its leaves by its own order, not by ``mwnw.WelfareScore``,
 and scales the weights to its exponents itself, not by
 ``core.integer_weights``);
-and the three separate bodies of the monotonicity comparisons that
-``harness.Perturbation.compare`` merged into one.  The differential tests require the library to agree with
-them exactly, witnesses and reports included.
+and the three separate Fraction bodies of the monotonicity comparisons
+that ``harness.Perturbation`` merged into its one integer ``decide``.  The
+differential tests require the library to agree with them exactly,
+witnesses and reports included.
 """
 
 from __future__ import annotations

@@ -449,6 +449,18 @@ STORED_COMPARISONS = [
      "resource", ((11, 1, 0),)),
 ]
 
+# Resource violations on integer rows whose extra item has denominator 3,
+# so add_item rescales the rows from 1 to 3: the violator's sum after, taken
+# without the scales, is not below its sum before (7 against 4, 20 against 9
+# and 11 against 5).  The last case has rational weights.
+RESCALED_COMPARISONS = [
+    (RULES["mwnw"], Instance((1, 1), ((5, 1), (4, 0))), "resource", ((1, Fraction(7, 3)),)),
+    (RULES["ecycle"], Instance((1, 1, 1), ((5, 4), (0, 1), (0, 3))),
+     "resource", ((Fraction(20, 3), 4, Fraction(10, 3)),)),
+    (RULES["mwnw"], Instance((Fraction(1, 2), Fraction(1, 3)), ((5, 2), (5, 0))),
+     "resource", ((Fraction(2, 3), Fraction(11, 3)),)),
+]
+
 
 def draw_comparison(rng, rule):
     """A base instance of up to 3 agents and 5 items, a monotonicity kind
@@ -473,15 +485,27 @@ def test_merged_comparison_matches_reference_bodies():
         (rule, *draw_comparison(rng, rule)) for _ in range(75) for rule in COMPARED_RULES
     ]
     covered, violated = Counter(), Counter()
-    for rule, base, kind, args in STORED_COMPARISONS + drawn:
-        got = harness.PERTURBATIONS[kind].compare(rule, base, *args)
+    for rule, base, kind, args in STORED_COMPARISONS + RESCALED_COMPARISONS + drawn:
+        entry = harness.PERTURBATIONS[kind]
+        got = entry.compare(rule, base, *args)
         expected = getattr(reference, f"compare_{kind}")(rule, base, *args)
         assert got == expected and repr(got) == repr(expected), (rule, kind, base, args)
+        # the integer decision that scan makes on every trial, before any report
+        assert entry.decide(rule, base, *args)[0] == expected.violators
         covered[rule.name, kind] += 1
         violated[kind] += got.violated
     # every rule under every perturbation it admits, and violations of each
     assert len(covered) == 3 * len(COMPARED_RULES) - 1
     assert all(violated[kind] >= 2 for kind in harness.MONOTONICITY_KINDS), violated
+
+
+@pytest.mark.parametrize("case", RESCALED_COMPARISONS, ids=["mwnw", "ecycle", "mwnw-rational-weights"])
+def test_rescaled_violation_is_decided_across_the_row_scales(case):
+    rule, base, kind, args = case
+    violators, (b, s), (a, t) = harness.PERTURBATIONS[kind].decide(rule, base, *args)
+    assert violators == reference.compare_resource(rule, base, *args).violators != ()
+    # the rows were rescaled, and the bare sums would clear the violator
+    assert all(t[i] == 3 * s[i] and a[i] >= b[i] for i in violators)
 
 
 BENCH_N, BENCH_M = 10, 100

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from pickseq import harness
 from pickseq.core import Instance, PickingSequence
 from pickseq.fairness import NOTIONS
 from pickseq.harness import (
@@ -325,6 +326,51 @@ def test_scan_perturbation_replays_through_its_table_entry(rule, prop, bounds):
     assert kind == prop and tuple(found.perturbation)[1:] == entry.names
     assert entry.compare(rule, found.instance, *args) == found.report
     assert MONOTONICITY_KINDS == ("resource", "population", "weight")
+
+
+def count_reports(monkeypatch) -> list:
+    """Every MonotonicityReport the harness builds from here on, in order."""
+    built, report = [], harness.MonotonicityReport
+
+    def counting_report(*args, **kwargs):
+        built.append(report(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "MonotonicityReport", counting_report)
+    return built
+
+
+@pytest.mark.parametrize(
+    "rule, prop",
+    [(divisor_rule(WEBSTER), "resource"), (divisor_rule(ADAMS), "population"), (MWNW, "weight")],
+    ids=["webster-resource", "adams-population", "mwnw-weight"],
+)
+def test_scan_of_a_monotone_cell_builds_no_report(monkeypatch, rule, prop):
+    # cells the paper proves positive: every trial is decided on integers
+    built = count_reports(monkeypatch)
+    assert scan(rule, prop, max_n=4, max_m=6, trials=60, seed=26) is None
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "rule, prop, bounds, trial, expected",
+    [
+        (MWNW, "resource", dict(max_n=3, max_m=5, trials=400, seed=2), 1,
+         "MonotonicityReport(kind='resource', rule='mwnw', before=(Fraction(10, 1), "
+         "Fraction(29, 1)), after=(Fraction(4, 1), Fraction(36, 1)), violated=True, "
+         "violators=(0,), boosted_agent=None)"),
+        (QUOTA, "population", dict(max_n=4, seed=1), 23,
+         "MonotonicityReport(kind='population', rule='quota', before=(Fraction(22, 1), "
+         "Fraction(1, 1), Fraction(18, 1)), after=(Fraction(19, 1), Fraction(10, 1), "
+         "Fraction(16, 1)), violated=True, violators=(1,), boosted_agent=None)"),
+    ],
+    ids=["mwnw-resource", "quota-population"],
+)
+def test_scan_builds_one_report_for_the_violating_trial(monkeypatch, rule, prop, bounds, trial, expected):
+    built = count_reports(monkeypatch)
+    found = scan(rule, prop, **bounds)
+    assert found.trial == trial and built == [found.report]
+    assert built[0] is found.report and repr(found.report) == expected
 
 
 @pytest.mark.parametrize(

@@ -185,10 +185,11 @@ def test_stationary_parameter_range():
 
 
 def test_custom_table_validation():
-    with pytest.raises(ValueError):
-        custom([Fraction(1, 2), Fraction(1, 4)])  # not increasing
-    with pytest.raises(ValueError):
-        custom([Fraction(2)])  # violates f(0) <= 1
+    # f(1) = 1 meets the bound t <= f(t) <= t+1 but does not exceed f(0)
+    with pytest.raises(ValueError, match=r"not strictly increasing at t=1$"):
+        custom([1, 1])
+    with pytest.raises(ValueError, match=r"violates t <= f\(t\) <= t\+1 at t=0$"):
+        custom([Fraction(2)])
     f = custom([Fraction(0), Fraction(1)], tail_offset=1)
     assert f.rational_value(5) == 6
     bare = custom([Fraction(0), Fraction(1)])

@@ -4,7 +4,8 @@ Each revision is exported with ``git archive`` into a temporary directory,
 so the working tree is not touched.  For each workload, ``bench/run.py``
 of each checkout runs unchanged in ``--pairs`` pairs: both sides of a pair
 take the same seed, and the side that runs first alternates from pair to
-pair, so that drift of a shared host falls on both sides alike.  Then
+pair, so that drift of a shared host falls on both sides alike; with the
+default even number of pairs, each side runs first in half of them.  Then
 ``--setup-runs`` ``--setup-only`` processes per side, again alternating,
 are timed as ``bench/run.py``'s ``measure_setup`` times them: from just
 before the process starts to the ``time.monotonic()`` it prints once its
@@ -13,7 +14,7 @@ inputs are built.  Last, ``COLD_STARTS`` direct cold starts of
 (user plus system) that ``os.wait4`` reports for each child, as
 ``bench/workloads.run_child`` reads it.
 
-    python tools/bench_pairs.py HEAD~1 HEAD --pairs 5 --setup-runs 20 --out bench_pairs.json
+    python tools/bench_pairs.py HEAD~1 HEAD --pairs 6 --setup-runs 20 --out bench_pairs.json
 
 The output holds the command, both revisions, the Python version, the
 number of usable cores, whether ``PYTHONDONTWRITEBYTECODE`` was set and
@@ -214,7 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base", help="git revision of the base side, e.g. HEAD~1")
     parser.add_argument("head", help="git revision of the head side, e.g. HEAD")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=6,
+                        help="pairs of runs per workload; an even count puts each side first equally often")
     parser.add_argument("--seconds", type=float,
                         help="run length of each run; default: BENCHMARK.json's run_seconds")
     parser.add_argument("--setup-runs", type=int, default=20,
