@@ -411,7 +411,8 @@ def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fra
 def bundle_reader(bundle: Collection[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """``read(row)`` is the tuple of the row's values on the bundle's items
     (in the bundle's order), read by one C-level ``operator.itemgetter``
-    call.  Every sum of a scaled row over a bundle is ``sum(read(row))``.
+    call.  It pays where one reader serves many rows: the sum of every
+    agent's row over one bundle is ``sum(read(row))``.
     """
     # itemgetter of no item raises, and of one item returns it bare
     if len(bundle) > 1:
@@ -421,14 +422,18 @@ def bundle_reader(bundle: Collection[int]) -> Callable[[Sequence[int]], tuple[in
     return itemgetter(slice(0))
 
 
-def allocation_utilities(instance: Instance, allocation: Allocation) -> tuple[Fraction, ...]:
-    """Each agent's exact utility for her own bundle."""
+def bundle_sums(instance: Instance, allocation: Allocation) -> tuple[list[int], tuple[int, ...]]:
+    """Each agent's scaled row summed over the agent's own bundle, and the
+    row scales: an agent's utility is the sum divided by the scale.  Raises
+    unless the allocation partitions the instance's items."""
     allocation.validate_for(instance)
     scales, rows = instance.scaled_utilities
-    return tuple(
-        Fraction(sum(bundle_reader(bundle)(row)), scale)
-        for scale, row, bundle in zip(scales, rows, allocation.bundles)
-    )
+    return [sum(map(row.__getitem__, b)) for row, b in zip(rows, allocation.bundles)], scales
+
+
+def allocation_utilities(instance: Instance, allocation: Allocation) -> tuple[Fraction, ...]:
+    """Each agent's exact utility for her own bundle."""
+    return tuple(map(Fraction, *bundle_sums(instance, allocation)))
 
 
 # --- serialization ----------------------------------------------------------

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import Allocation, Instance, PickingSequence, _as_rational, turns_of
+from .core import Instance, PickingSequence, _as_rational, bundle_sums, turns_of
 from .fairness import NOTIONS, FairnessVerdict, check_allocation, check_sequence, zero_one_instance
 from .methods import Rule
 
@@ -67,15 +67,6 @@ def _raise_weight(base: Instance, agent: int, weight) -> Instance:
     return base.replace_weight(agent, weight)
 
 
-def _bundle_sums(instance: Instance, allocation: Allocation) -> tuple[list[int], tuple[int, ...]]:
-    """Each agent's scaled row summed over the agent's bundle, and the row
-    scales: an agent's utility is the sum divided by the scale.  Raises
-    unless the allocation partitions the instance's items."""
-    allocation.validate_for(instance)
-    scales, rows = instance.scaled_utilities
-    return [sum(map(row.__getitem__, b)) for row, b in zip(rows, allocation.bundles)], scales
-
-
 class Perturbation(NamedTuple):
     """One monotonicity kind: its name, the perturbation of the base
     instance, that perturbation's argument names in call order, ``scan``'s
@@ -99,13 +90,13 @@ class Perturbation(NamedTuple):
         """Perturb ``base`` by ``args``, run the rule on the base and then on
         the modified instance, validating each allocation as it comes, and
         return the tracked agents whose utility after is ``worse`` than
-        before, with each side's ``_bundle_sums``.  Agent i's utilities are
+        before, with each side's ``core.bundle_sums``.  Agent i's utilities are
         a/t after and b/s before, for scaled sums a, b and positive row
         scales t, s, so ``worse(a * s, b * t)`` decides the agent exactly,
         even where ``add_item`` rescaled the row, without a Fraction."""
         modified = self.perturb(base, *args)
-        before = _bundle_sums(base, rule.run(base))
-        after = _bundle_sums(modified, rule.run(modified))
+        before = bundle_sums(base, rule.run(base))
+        after = bundle_sums(modified, rule.run(modified))
         (b, s), (a, t), worse = before, after, self.worse
         tracked = (args[0],) if self.boosts_first else range(base.n)
         return tuple(i for i in tracked if worse(a[i] * s[i], b[i] * t[i])), before, after

@@ -21,7 +21,9 @@ positive-utility support is largest, break support ties toward the
 lexicographically smallest agent-index set, then maximize the product
 restricted to that support.  Among exact score ties the solver returns the
 allocation whose item-to-agent assignment vector is lexicographically
-smallest, which makes every reported trace reproducible.
+smallest, which makes every reported trace reproducible.  The pruned search
+meets the leaves in another order than the lexicographic one, so it breaks
+each tie by comparing the assignments themselves.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from operator import add, getitem
+from operator import add, getitem, itemgetter
 from typing import Sequence
 
 from .core import Allocation, Instance, allocation_utilities, integer_weights
@@ -119,19 +121,29 @@ def solve(
 ) -> Allocation:
     """Return the maximum weighted Nash welfare allocation.
 
-    Enumerates all n^m item-to-agent assignments depth-first in
-    lexicographic order, so the first optimum found is also the
-    lexicographic tie-break winner.  With ``prune`` enabled, a branch is
-    skipped when no leaf under it can strictly beat the incumbent, which
-    keeps the result identical to the unpruned enumeration: equal-score
-    leaves always lose the lexicographic tie-break to the earlier incumbent.
-    Three rules skip:
+    Without ``prune``, enumerates all n^m item-to-agent assignments
+    depth-first in lexicographic order, the referee of the pruned search.
+    With ``prune``, the search takes the items in descending order of total
+    scaled value and each item's valuers in descending order of value, ties
+    to the lower index, so that good incumbents come early and bounds fail
+    first; the order is a heuristic only, and the result is the unpruned
+    one: the optimum whose assignment, kept in item order, is
+    lexicographically smallest.  A leaf that ties the incumbent's rank
+    replaces it only when its assignment is lexicographically smaller, and
+    each skip below drops only leaves that are strictly beaten or tied by a
+    lexicographically smaller leaf:
 
-    - above the last item, a subtree whose optimistic utility bound cannot
-      beat a positive incumbent (at the last item the bound costs more than
-      the n leaves it would save);
-    - a state (next item, utilities so far) entered before, above the last
-      two items;
+    - above the last item, a subtree whose optimistic utility bound is
+      strictly below a positive incumbent (at the last item the bound costs
+      more than the n leaves it would save);
+    - a state (next item, utilities so far), above the last two items,
+      entered before by a path whose item-order code is smaller.  The code
+      is the assignment so far read as a base-n number, item 0 most
+      significant and unassigned items 0.  Two paths to one state have
+      assigned the same items and share every completion, so their leaves
+      order as their codes do, and the later path with the larger code has
+      only ties that lose the tie-break.  A revisit with a smaller code is
+      entered and its code stored;
     - item j given to an agent who values it at 0 when another agent b
       values it: each leaf under that branch is strictly beaten by the same
       leaf with j given to b, whose support is larger when b is outside it
@@ -166,13 +178,23 @@ def solve(
         )
 
     cols = list(zip(*rows))  # cols[j][i]: agent i's value for item j
-    # picks[j]: the (agent, value) branches of item j, without the dominated
-    # ones: only its valuers, or agent 0 when nobody values it
-    picks = [[(a, u) for a, u in enumerate(col) if u or not prune] or [(0, 0)] for col in cols]
-    # rest[j][i]: agent i's scaled utility for all items from j onward
+    # order[g]: the g-th item searched; pruned, the most valuable first
+    order = sorted(range(m), key=lambda j: sum(cols[j]), reverse=True) if prune else range(m)
+    # picks[g]: the (agent, value, code step) branches of item order[g]
+    # without the dominated ones: only its valuers, each item's top valuers
+    # first, or agent 0 when nobody values it.  The step a * n^(m-1-j) adds
+    # agent a's pick of item j to the item-order code of the assignment
+    picks = []
+    for j in order:
+        branches = [(a, u) for a, u in enumerate(cols[j]) if u or not prune] or [(0, 0)]
+        if prune:
+            branches.sort(key=itemgetter(1), reverse=True)
+        place = n ** (m - 1 - j)
+        picks.append([(a, u, a * place) for a, u in branches])
+    # rest[g][i]: agent i's scaled utility for the items searched from g onward
     rest = [[0] * n for _ in range(m + 1)]
-    for j in range(m - 1, -1, -1):
-        rest[j] = list(map(add, rest[j + 1], cols[j]))
+    for g in range(m - 1, -1, -1):
+        rest[g] = list(map(add, rest[g + 1], cols[order[g]]))
     # powers[i][u] = u ** e_i and lengths[i][u] its bit length, each computed
     # once; a length does not store its power, which most bounds never need
     powers = [_Memo(e.__rpow__) for e in exponents]
@@ -182,41 +204,45 @@ def solve(
     # the incumbent's rank: support size, sorted support, scaled product
     best_size, best_support, best_product, best_bits = -1, [], 0, 0
     current = [0] * n
-    assign = [0] * m
-    seen: set[tuple[int, ...]] = set()  # (j, *current) of the states entered
+    assign = [0] * m  # assign[j]: the agent holding item j, in item order
+    # (g, *current) of each state entered -> the least item-order code of
+    # the paths that entered it
+    seen: dict[tuple[int, ...], int] = {}
     last = m - 1
 
-    def recurse(j: int) -> None:
+    def recurse(g: int, code: int) -> None:
         nonlocal best_assign, best_size, best_support, best_product, best_bits
-        if prune and j < m - 2:
-            state = (j, *current)
-            if state in seen:
+        if prune and g < m - 2:
+            state = (g, *current)
+            if seen.get(state, code) < code:
                 return
-            seen.add(state)
-        if j < last:
+            seen[state] = code
+        j = order[g]
+        if g < last:
             if prune and best_size == n:
-                reach = list(map(add, current, rest[j]))
+                reach = list(map(add, current, rest[g]))
                 if 0 in reach:
                     return
                 bits = sum(map(getitem, lengths, reach))
                 if bits < best_bits or (
-                    bits - n < best_bits and prod(map(getitem, powers, reach)) <= best_product
+                    bits - n < best_bits and prod(map(getitem, powers, reach)) < best_product
                 ):
                     return
-            for a, value in picks[j]:
+            for a, value, step in picks[g]:
                 assign[j] = a
                 current[a] += value
-                recurse(j + 1)
+                recurse(g + 1, code + step)
                 current[a] -= value
             return
-        # the last item: its n leaves, ranked inline
-        for a, value in picks[j]:
+        # the last item: its n leaves, ranked inline; a tie goes to the
+        # lexicographically smaller assignment
+        for a, value, _ in picks[g]:
             assign[j] = a
             current[a] += value
             if best_size == n:
                 if 0 not in current and sum(map(getitem, lengths, current)) >= best_bits:
                     cand = prod(map(getitem, powers, current))
-                    if cand > best_product:
+                    if cand > best_product or (cand == best_product and assign < best_assign):
                         best_product, best_bits = cand, cand.bit_length()
                         best_assign = assign.copy()
             else:
@@ -224,14 +250,18 @@ def solve(
                 size = len(support)
                 if size > best_size or (size == best_size and support <= best_support):
                     cand = prod([powers[i][current[i]] for i in support])
-                    if support != best_support or cand > best_product:
+                    if (
+                        support != best_support
+                        or cand > best_product
+                        or (cand == best_product and assign < best_assign)
+                    ):
                         best_size, best_support, best_product = size, support, cand
                         best_bits = cand.bit_length()
                         best_assign = assign.copy()
             current[a] -= value
 
     if m:
-        recurse(0)
+        recurse(0, 0)
     # recurse refers to itself through its closure; breaking that cycle
     # frees the power memos now rather than at a later full collection
     del recurse

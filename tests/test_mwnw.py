@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -189,6 +190,52 @@ def test_pruned_and_unpruned_match_reference_on_zero_heavy_rows():
         assert solve(inst, prune=False) == expected, inst
         partial_supports += not score(inst, expected).is_positive
     assert partial_supports >= 50
+
+
+# instances whose optimum ties exactly across several assignments and whose
+# items' total values are not in index order, so the pruned search, most
+# valuable items and top valuers first, meets the tied optima in another
+# order than the lexicographic enumeration
+TIED_OPTIMA = [
+    # equal weights and equal rows: exchanging two agents' bundles ties
+    ((1, 1), ((1, 0, 2, 0, 0, 1), (1, 0, 2, 0, 0, 1))),
+    ((1, 1), ((1, 3, 0, 0), (1, 3, 0, 0))),
+    ((1, 1, 1), ((1, 2, 1),) * 3),
+    # duplicated item columns: exchanging two equal items ties
+    ((3, 3, 2), ((0, 0, 1, 1, 0), (0, 0, 3, 3, 0), (2, 2, 3, 3, 2))),
+    ((2, 3), ((1, 0, 1, 0), (3, 1, 3, 1))),
+    ((3, 1, 3), ((1, 1, 1, 0, 1), (3, 0, 3, 1, 0), (2, 2, 2, 1, 2))),
+    # rational weights
+    ((1, Fraction(3, 2)), ((0, 1, 0, 1, 0), (1, 2, 2, 2, 0))),
+    ((Fraction(4, 3), Fraction(4, 3)), ((1, 0, 1), (0, 2, 2))),
+    ((3, Fraction(2, 3), Fraction(1, 3)), ((0, 1, 2, 1, 1), (1, 2, 1, 2, 0), (1, 1, 0, 1, 1))),
+]
+
+
+@pytest.mark.parametrize("weights, rows", TIED_OPTIMA)
+def test_pruned_search_breaks_exact_ties_as_the_enumeration(weights, rows):
+    inst = Instance(weights, rows)
+    totals = [sum(col) for col in zip(*inst.scaled_utilities[1])]
+    assert sorted(range(inst.m), key=totals.__getitem__, reverse=True) != list(range(inst.m))
+    expected = solve(inst, prune=False)
+    best = score(inst, expected)
+    ties = 0
+    for owners in itertools.product(range(inst.n), repeat=inst.m):
+        bundles = tuple(frozenset(g for g, a in enumerate(owners) if a == i) for i in range(inst.n))
+        ties += score(inst, Allocation(bundles)).compare(best) == 0
+    assert ties >= 2
+    assert solve(inst) == expected == reference.mwnw_solve(inst)
+
+
+def test_state_skip_keeps_the_lexicographically_smaller_path():
+    # two paths of the pruned search enter one state, the one with the
+    # larger item-order code first; a skip that keeps the first visitor
+    # drops the other's completions, the tie-break winner among them, and
+    # returns its tie ({0, 3, 5}, {1, 2, 4})
+    inst = Instance((1, 1), ((1, 1, 2, 3, 1, 0),) * 2)
+    alloc = solve(inst)
+    assert alloc.bundles == (frozenset({0, 1, 2, 5}), frozenset({3, 4}))
+    assert alloc == solve(inst, prune=False)
 
 
 # the unpruned enumeration's allocation of the 4 x 10 instance below with
