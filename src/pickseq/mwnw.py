@@ -23,7 +23,7 @@ restricted to that support.  Among exact score ties the solver returns the
 allocation whose item-to-agent assignment vector is lexicographically
 smallest, which makes every reported trace reproducible.  The pruned search
 meets the leaves in another order than the lexicographic one, so it breaks
-each tie by comparing the assignments themselves.
+each tie by comparing the assignments themselves, read as base-n numbers.
 """
 
 from __future__ import annotations
@@ -128,22 +128,23 @@ def solve(
     to the lower index, so that good incumbents come early and bounds fail
     first; the order is a heuristic only, and the result is the unpruned
     one: the optimum whose assignment, kept in item order, is
-    lexicographically smallest.  A leaf that ties the incumbent's rank
-    replaces it only when its assignment is lexicographically smaller, and
-    each skip below drops only leaves that are strictly beaten or tied by a
-    lexicographically smaller leaf:
+    lexicographically smallest.  Each leaf that ties or beats the incumbent
+    gets a key that grows with its rank and, within one rank, falls with
+    its code, the assignment read as a base-n number, item 0 most
+    significant; the incumbent is the leaf of the largest key.  Each skip
+    below drops only leaves that are strictly beaten or whose keys the
+    search still meets:
 
     - above the last item, a subtree whose optimistic utility bound is
       strictly below a positive incumbent (at the last item the bound costs
       more than the n leaves it would save);
     - a state (next item, utilities so far), above the last two items,
-      entered before by a path whose item-order code is smaller.  The code
-      is the assignment so far read as a base-n number, item 0 most
-      significant and unassigned items 0.  Two paths to one state have
-      assigned the same items and share every completion, so their leaves
-      order as their codes do, and the later path with the larger code has
-      only ties that lose the tie-break.  A revisit with a smaller code is
-      entered and its code stored;
+      searched before.  Every path into one state has assigned the same
+      items and shares its completions, and a leaf's code is its path's
+      code plus its completion's, so the search stores the largest key
+      under the state plus the code of the path that searched it, and a
+      later path reads its own largest key off that store, the one of a
+      tie when its code is smaller;
     - item j given to an agent who values it at 0 when another agent b
       values it: each leaf under that branch is strictly beaten by the same
       leaf with j given to b, whose support is larger when b is outside it
@@ -200,65 +201,84 @@ def solve(
     powers = [_Memo(e.__rpow__) for e in exponents]
     lengths = [_Memo(lambda u, e=e: (u ** e).bit_length()) for e in exponents]
 
-    best_assign: list[int] = []
+    # A leaf that ties or beats the incumbent gets the key floor - code: code
+    # is its assignment read as a base-n number, item 0 most significant, and
+    # floor grows by n^m with each strict improvement of the incumbent's
+    # rank, so a key of an earlier rank is at most floor - n^m.  The
+    # incumbent is the leaf of the largest key, top.
+    span = n**m
+    floor = top = 0
     # the incumbent's rank: support size, sorted support, scaled product
     best_size, best_support, best_product, best_bits = -1, [], 0, 0
     current = [0] * n
-    assign = [0] * m  # assign[j]: the agent holding item j, in item order
-    # (g, *current) of each state entered -> the least item-order code of
-    # the paths that entered it
+    assign = [0] * m  # assign[j]: the agent holding item j
+    # (g, *current) of each state searched -> the largest key under it plus
+    # the code of the path that searched it, or 0 when no leaf under it got
+    # a key; a path with another code reads its own key off that
     seen: dict[tuple[int, ...], int] = {}
     last = m - 1
 
-    def recurse(g: int, code: int) -> None:
-        nonlocal best_assign, best_size, best_support, best_product, best_bits
-        if prune and g < m - 2:
+    def recurse(g: int, code: int) -> int:
+        """Search the subtree of item order[g] on; return its largest key."""
+        nonlocal floor, top, best_size, best_support, best_product, best_bits
+        memo = prune and g < m - 2
+        if memo:
             state = (g, *current)
-            if seen.get(state, code) < code:
-                return
-            seen[state] = code
+            if state in seen:
+                key = seen[state] - code
+                if key > top:
+                    top = key
+                return key
+            seen[state] = 0
+        low = 0
         j = order[g]
         if g < last:
             if prune and best_size == n:
                 reach = list(map(add, current, rest[g]))
                 if 0 in reach:
-                    return
+                    return 0
                 bits = sum(map(getitem, lengths, reach))
                 if bits < best_bits or (
                     bits - n < best_bits and prod(map(getitem, powers, reach)) < best_product
                 ):
-                    return
+                    return 0
             for a, value, step in picks[g]:
                 assign[j] = a
                 current[a] += value
-                recurse(g + 1, code + step)
+                key = recurse(g + 1, code + step)
                 current[a] -= value
-            return
-        # the last item: its n leaves, ranked inline; a tie goes to the
-        # lexicographically smaller assignment
-        for a, value, _ in picks[g]:
+                if key > low:
+                    low = key
+            if memo and low:
+                seen[state] = low + code
+            return low
+        # the last item: its n leaves, ranked inline
+        for a, value, step in picks[g]:
             assign[j] = a
             current[a] += value
             if best_size == n:
                 if 0 not in current and sum(map(getitem, lengths, current)) >= best_bits:
                     cand = prod(map(getitem, powers, current))
-                    if cand > best_product or (cand == best_product and assign < best_assign):
-                        best_product, best_bits = cand, cand.bit_length()
-                        best_assign = assign.copy()
+                    if cand >= best_product:
+                        if cand > best_product:
+                            best_product, best_bits = cand, cand.bit_length()
+                            floor += span
+                        low = max(low, floor - code - step)
             else:
                 support = sorted({b for b, c in zip(assign, cols) if c[b]})
                 size = len(support)
                 if size > best_size or (size == best_size and support <= best_support):
                     cand = prod([powers[i][current[i]] for i in support])
-                    if (
-                        support != best_support
-                        or cand > best_product
-                        or (cand == best_product and assign < best_assign)
-                    ):
-                        best_size, best_support, best_product = size, support, cand
-                        best_bits = cand.bit_length()
-                        best_assign = assign.copy()
+                    if support != best_support or cand >= best_product:
+                        if support != best_support or cand > best_product:
+                            best_size, best_support, best_product = size, support, cand
+                            best_bits = cand.bit_length()
+                            floor += span
+                        low = max(low, floor - code - step)
             current[a] -= value
+        if low > top:
+            top = low
+        return low
 
     if m:
         recurse(0, 0)
@@ -266,6 +286,8 @@ def solve(
     # frees the power memos now rather than at a later full collection
     del recurse
     bundles = [set() for _ in range(n)]
-    for j, a in enumerate(best_assign):
+    code = floor - top
+    for j in range(last, -1, -1):
+        code, a = divmod(code, n)
         bundles[a].add(j)
     return Allocation._trusted(tuple(map(frozenset, bundles)))

@@ -229,9 +229,9 @@ def test_pruned_search_breaks_exact_ties_as_the_enumeration(weights, rows):
 
 def test_state_skip_keeps_the_lexicographically_smaller_path():
     # two paths of the pruned search enter one state, the one with the
-    # larger item-order code first; a skip that keeps the first visitor
-    # drops the other's completions, the tie-break winner among them, and
-    # returns its tie ({0, 3, 5}, {1, 2, 4})
+    # larger item-order code first; a revisit that reads no key off the
+    # state drops the other path's completions, the tie-break winner among
+    # them, and returns its tie ({0, 3, 5}, {1, 2, 4})
     inst = Instance((1, 1), ((1, 1, 2, 3, 1, 0),) * 2)
     alloc = solve(inst)
     assert alloc.bundles == (frozenset({0, 1, 2, 5}), frozenset({3, 4}))
@@ -288,6 +288,26 @@ def test_tied_large_exponent_instance_solves_quickly():
     alloc = solve(inst)
     assert time.perf_counter() - start < 1.0
     assert alloc == Allocation((frozenset(range(8)), frozenset(range(8, 16))))
+
+
+@pytest.mark.parametrize(
+    "weights, m, limit",
+    [
+        ((1, 1), 20, 0.5),
+        ((Fraction(1, 30001), Fraction(1, 30003)), 14, 1.0),
+        ((Fraction(1, 30001), Fraction(1, 30003)), 16, 1.0),
+    ],
+)
+def test_tied_instance_with_the_top_valuer_last_in_index_solves_quickly(weights, m, limit):
+    # agent 1 values every item twice as much as agent 0, so the pruned
+    # search gives each item to agent 1 first and meets the paths into a
+    # state in decreasing item-order code; each state is still searched
+    # once, and its revisits read their tied leaves off it
+    inst = Instance(weights, ((1,) * m, (2,) * m))
+    start = time.perf_counter()
+    alloc = solve(inst)
+    assert time.perf_counter() - start < limit
+    assert alloc == Allocation((frozenset(range(m // 2)), frozenset(range(m // 2, m))))
 
 
 def test_weight_monotonicity_random():
