@@ -184,7 +184,7 @@ def solve(
     # picks[g]: the (agent, value, code step) branches of item order[g]
     # without the dominated ones: only its valuers, each item's top valuers
     # first, or agent 0 when nobody values it.  The step a * n^(m-1-j) adds
-    # agent a's pick of item j to the item-order code of the assignment
+    # agent a's pick of item j to the code of the assignment (see floor)
     picks = []
     for j in order:
         branches = [(a, u) for a, u in enumerate(cols[j]) if u or not prune] or [(0, 0)]
@@ -217,12 +217,12 @@ def solve(
     # a key; a path with another code reads its own key off that
     seen: dict[tuple[int, ...], int] = {}
     last = m - 1
+    deep = m - 2 if prune else 0  # the levels g < deep store their states
 
     def recurse(g: int, code: int) -> int:
         """Search the subtree of item order[g] on; return its largest key."""
         nonlocal floor, top, best_size, best_support, best_product, best_bits
-        memo = prune and g < m - 2
-        if memo:
+        if g < deep:
             state = (g, *current)
             if state in seen:
                 key = seen[state] - code
@@ -249,7 +249,7 @@ def solve(
                 current[a] -= value
                 if key > low:
                     low = key
-            if memo and low:
+            if low and g < deep:
                 seen[state] = low + code
             return low
         # the last item: its n leaves, ranked inline

@@ -238,6 +238,18 @@ def test_state_skip_keeps_the_lexicographically_smaller_path():
     assert alloc == solve(inst, prune=False)
 
 
+def test_support_ranked_tie_goes_to_the_smaller_assignment():
+    # three agents and two items: no allocation is positive.  Agent 1 values
+    # item 0 most and agent 0 item 1, so the pruned search first meets
+    # (item 0 to agent 1, item 1 to agent 0), at 2^3 * 8 = 64 on the support
+    # {0, 1}, and then its tie (item 0 to agent 0, item 1 to agent 1), at
+    # 4^3 * 1 = 64, whose assignment is lexicographically smaller
+    inst = Instance((3, 1, 1), ((4, 2), (8, 1), (0, 0)))
+    alloc = solve(inst)
+    assert alloc.bundles == (frozenset({0}), frozenset({1}), frozenset())
+    assert alloc == solve(inst, prune=False) == reference.mwnw_solve(inst)
+
+
 # the unpruned enumeration's allocation of the 4 x 10 instance below with
 # its all-zero row at each position (prune=False takes about 3.5 s each)
 ZERO_ROW_OPTIMA = [
