@@ -212,24 +212,25 @@ def solve(
     best_size, best_support, best_product, best_bits = -1, [], 0, 0
     current = [0] * n
     assign = [0] * m  # assign[j]: the agent holding item j
-    # (g, *current) of each state searched -> the largest key under it plus
-    # the code of the path that searched it, or 0 when no leaf under it got
-    # a key; a path with another code reads its own key off that
-    seen: dict[tuple[int, ...], int] = {}
     last = m - 1
     deep = m - 2 if prune else 0  # the levels g < deep store their states
+    # seen[g]: the utilities so far of each state searched at level g -> the
+    # largest key under it plus the code of the path that searched it, or 0
+    # when no leaf under it got a key; a path with another code reads its
+    # own key off that.  One dict per level keeps the level out of each key
+    seen: list[dict[tuple[int, ...], int]] = [{} for _ in range(deep)]
 
     def recurse(g: int, code: int) -> int:
         """Search the subtree of item order[g] on; return its largest key."""
         nonlocal floor, top, best_size, best_support, best_product, best_bits
         if g < deep:
-            state = (g, *current)
-            if state in seen:
-                key = seen[state] - code
+            level, state = seen[g], tuple(current)
+            if state in level:
+                key = level[state] - code
                 if key > top:
                     top = key
                 return key
-            seen[state] = 0
+            level[state] = 0
         low = 0
         j = order[g]
         if g < last:
@@ -250,7 +251,7 @@ def solve(
                 if key > low:
                     low = key
             if low and g < deep:
-                seen[state] = low + code
+                level[state] = low + code
             return low
         # the last item: its n leaves, ranked inline
         for a, value, step in picks[g]:
