@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Allocation, Instance, PickingSequence, bundle_reader
+from .core import Allocation, Instance, PickingSequence, bundle_values
 
 
 def round_robin_sequence(n: int, m: int) -> PickingSequence:
@@ -21,19 +21,14 @@ def round_robin_sequence(n: int, m: int) -> PickingSequence:
     return PickingSequence._trusted(tuple(j % n for j in range(m)))
 
 
-def _envy_edges(rows: tuple[tuple[int, ...], ...], bundles: list[set[int]]) -> list[list[bool]]:
+def _envy_edges(instance: Instance, bundles: list[set[int]]) -> list[list[bool]]:
     """edges[i][j] iff agent i strictly prefers bundle j to her own.
 
-    ``rows`` are the integer-scaled utilities of ``Instance.scaled_utilities``:
-    each edge compares one agent's values only, so the scale keeps it.
+    Each edge compares one agent's values only, so it is decided on the
+    integer-scaled values of ``core.bundle_values``.
     """
-    n = len(rows)
-    readers = [bundle_reader(bundle) for bundle in bundles]
-    edges = []
-    for i, row in enumerate(rows):
-        values = [sum(read(row)) for read in readers]
-        edges.append([j != i and values[j] > values[i] for j in range(n)])
-    return edges
+    return [[j != i and their > values[i] for j, their in enumerate(values)]
+            for i, values in enumerate(bundle_values(instance, bundles))]
 
 
 def _find_cycle(edges: list[list[bool]], n: int) -> list[int]:
@@ -74,14 +69,13 @@ def envy_cycle_eliminate(instance: Instance) -> Allocation:
     breaking ties by agent index and then item index.
     """
     n, m = instance.n, instance.m
-    _, rows = instance.scaled_utilities
     bundles: list[set[int]] = [set() for _ in range(n)]
     remaining = list(range(m))
 
     while remaining:
         rotations = 0
         while True:
-            edges = _envy_edges(rows, bundles)
+            edges = _envy_edges(instance, bundles)
             unenvied = [j for j in range(n) if not any(edges[i][j] for i in range(n))]
             if unenvied:
                 break

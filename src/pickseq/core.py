@@ -15,12 +15,13 @@ pipeline hands the same weights convert them once between them; an
 lcm of that row's denominators.  A per-agent scale is sound wherever an inequality
 weighs one agent's values against that same agent's values; witnesses are
 divided back into the same Fractions.  An ``Instance`` computes its integer
-view (``scaled_weights``, ``scaled_utilities`` and the ``preference_orders``
-sorted from them) on first use and keeps it, so every layer that reads one
-instance shares one conversion; ``allocation_utilities`` sums the scaled
-rows and divides once per agent.  ``add_item``, ``add_agent`` and
-``replace_weight`` extend the parent's view and check only the values they
-add.  The view takes no part in equality, hashing, ``repr`` or pickling,
+view (``scaled_weights``, ``scaled_utilities``, their ``scaled_columns``
+and the ``preference_orders`` sorted from them) on first use and keeps it,
+so every layer that reads one instance shares one conversion;
+``allocation_utilities`` sums the scaled rows and divides once per agent,
+and ``bundle_values`` sums every bundle for every agent by column.
+``add_item``, ``add_agent`` and ``replace_weight`` extend the parent's
+view and check only the values they add.  The view takes no part in equality, hashing, ``repr`` or pickling,
 and neither does the one allocation's bundle values that
 ``fairness.check_allocation`` keeps on the instance.
 
@@ -36,8 +37,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import add, index, itemgetter
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from operator import add, index
+from typing import Collection, Iterable, Mapping, Sequence
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/-?\d+)?$")
 
@@ -100,7 +101,10 @@ class _view:
     """``functools.cached_property`` without the lock that Python 3.11
     takes on each first use, about a microsecond per view of every fresh
     instance.  A view is a pure function of the fields, so threads that
-    race to compute it store equal values.
+    race to compute it compute equal values, and the one
+    ``dict.setdefault`` keeps the first stored: every reader gets that one
+    object, which a mutable view such as ``DivisorFunction``'s form table
+    needs.
     """
 
     def __init__(self, func):
@@ -109,8 +113,7 @@ class _view:
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
+        return instance.__dict__.setdefault(self.name, self.func(instance))
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,9 @@ class Instance:
     """Agents with positive weights and an additive utility matrix.
 
     ``weights`` has one entry per agent; ``utilities[i][j]`` is agent i's
-    utility for item j.  Immutable after construction.
+    utility for item j.  Immutable after construction.  The integer views
+    (``scaled_weights``, ``scaled_utilities``, ``scaled_columns``,
+    ``preference_orders``) are computed on first use and kept.
     """
 
     weights: tuple[Fraction, ...]
@@ -193,6 +198,12 @@ class Instance:
             scales.append(scale)
             rows.append(tuple(u.numerator * (scale // u.denominator) for u in row))
         return tuple(scales), tuple(rows)
+
+    @_view
+    def scaled_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Each item's scaled values, one per agent: the rows of
+        ``scaled_utilities`` read by column, computed on first use."""
+        return tuple(zip(*self.scaled_utilities[1]))
 
     @_view
     def preference_orders(self) -> tuple[tuple[int, ...], ...]:
@@ -408,18 +419,20 @@ def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fra
     return total
 
 
-def bundle_reader(bundle: Collection[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """``read(row)`` is the tuple of the row's values on the bundle's items
-    (in the bundle's order), read by one C-level ``operator.itemgetter``
-    call.  It pays where one reader serves many rows: the sum of every
-    agent's row over one bundle is ``sum(read(row))``.
+def bundle_values(instance: Instance, bundles: Sequence[Collection[int]]) -> list[tuple[int, ...]]:
+    """Every agent's scaled value of every bundle: ``values[i][j]`` is
+    agent i's scaled row summed over bundle j.  Each bundle is summed for
+    all agents at once, by one C-level ``zip`` of its items'
+    ``instance.scaled_columns`` and a ``sum`` per agent.
     """
-    # itemgetter of no item raises, and of one item returns it bare
-    if len(bundle) > 1:
-        return itemgetter(*bundle)
-    for g in bundle:
-        return itemgetter(slice(g, g + 1))
-    return itemgetter(slice(0))
+    columns, zeros = instance.scaled_columns, [0] * instance.n
+    # the columns are gathered in a list, not unpacked from a ``map``: a
+    # tuple built from an iterator of unknown length is resized, and each
+    # one freed joins CPython's tuple free lists, which held about 5 MB more
+    # resident memory in a run of repeated 10-agent, 100-item checks
+    sums = [list(map(sum, zip(*[columns[g] for g in bundle]))) if bundle else zeros
+            for bundle in bundles]
+    return list(zip(*sums))
 
 
 def bundle_sums(instance: Instance, allocation: Allocation) -> tuple[list[int], tuple[int, ...]]:

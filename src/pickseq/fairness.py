@@ -26,7 +26,7 @@ from .core import (
     PickingSequence,
     _as_rational,
     agents_in_range,
-    bundle_reader,
+    bundle_values,
     integer_weights,
     turns_of,
 )
@@ -74,7 +74,9 @@ class _BundleValues:
     WPROP1 reads of the bundles.  ``envy[i]`` lists the bundles agent i
     envies outright, in index order, as (j, value of bundle j, value of its
     most valued item), all on row i: what WEF1 and WWEF1 read.  The table
-    is built whole, in one pass over the rows, when it is made.
+    is built whole when it is made, from ``core.bundle_values``, which sums
+    each bundle for every agent at once; the most valued item is read off
+    row i only for a bundle that agent i envies.
     """
 
     __slots__ = ("allocation", "owns", "envy")
@@ -82,18 +84,16 @@ class _BundleValues:
     def __init__(self, instance: Instance, allocation: Allocation):
         allocation.validate_for(instance)
         self.allocation = allocation
-        readers = [bundle_reader(b) for b in allocation.bundles]
-        weights = instance.scaled_weights
+        bundles = allocation.bundles
+        rows, weights = instance.scaled_utilities[1], instance.scaled_weights
         self.owns: list[int] = []
         self.envy: list[list[tuple[int, int, int]]] = []
-        for i, (row, w_i) in enumerate(zip(instance.scaled_utilities[1], weights)):
-            parts = [read(row) for read in readers]
-            values = list(map(sum, parts))
+        for i, (values, row, w_i) in enumerate(zip(bundle_values(instance, bundles), rows, weights)):
             own = values[i]
             self.owns.append(own)
             # outright envy: never so for j == i or an empty bundle j
-            self.envy.append([(j, their, max(parts[j])) for j, their in enumerate(values)
-                              if own * weights[j] < their * w_i])
+            self.envy.append([(j, their, max(map(row.__getitem__, bundles[j])))
+                              for j, their in enumerate(values) if own * weights[j] < their * w_i])
 
 
 def check_allocation(
@@ -108,8 +108,9 @@ def check_allocation(
 
     Every inequality weighs agent i's values against agent i's values, so
     it is decided in integers: on the rows of ``scaled_utilities`` (agent
-    i's scaled by s_i) and the instance's ``scaled_weights``.  Each row's
-    values on each bundle are read by one ``core.bundle_reader`` call.  The
+    i's scaled by s_i) and the instance's ``scaled_weights``.  Every agent's
+    value of every bundle comes from one ``core.bundle_values`` call, which
+    sums each bundle's columns of ``Instance.scaled_columns``.  The
     instance keeps these bundle values for the allocation object it was
     last checked with, so checking several notions on one allocation
     validates it and reads its bundles once: WPROP1 reads each agent's own
@@ -215,7 +216,11 @@ def check_sequence(
 
     The witness is the lowest failing prefix, then lowest i, then lowest j.
     For wef1 and wwef1 each prefix costs O(n) integer cross-multiplications:
-    a pick by j can newly fail only the envy pairs (i, j).  For wprop1 the
+    a pick by j can newly fail only the envy pairs (i, j).  The weight gates
+    are applied once per agent j, at its second pick, which lists the
+    agents tested on each condition; each later pick by j loops over its
+    lists with no gate test, and the scan of every pair in index order runs
+    only at the first failing prefix, for the witness.  For wprop1 the
     agents are scanned only at the first prefix that reaches a deadline,
     floor((t_i+1)*sum(w)/w_i) + 1 for agent i holding t_i picks.
     """
@@ -239,27 +244,55 @@ def check_sequence(
         return FairnessVerdict(notion, True)
 
     counts = [0] * n
+    everyone = list(enumerate(scaled))
+    # gates[j]: the agents (i, w_i) tested against j on t_i*w_j >= w_i*(t_j-1),
+    # and those tested on (t_i+1)*w_j >= w_i*t_j, made at j's second pick.
+    # wef1 tests everyone on the first: j itself passes both conditions
+    gates: list = [None] * n
     for k, j in enumerate(turns, start=1):
         counts[j] += 1
-        t_j, w_j = counts[j], scaled[j]
+        t_j = counts[j]
         if t_j < 2:
             continue
-        for i in range(n):
-            if i == j:
-                continue
-            t_i, w_i = counts[i], scaled[i]
-            if (notion == "wef1" or w_i >= w_j) and t_i * w_j < w_i * (t_j - 1):
-                lhs = Fraction(t_i, t_j - 1)
-            elif notion == "wwef1" and w_i <= w_j and (t_i + 1) * w_j < w_i * t_j:
-                lhs = Fraction(t_i + 1, t_j)
-            else:
-                continue
-            return FairnessVerdict(
-                notion,
-                False,
-                Witness(lhs=lhs, rhs=Fraction(w_i, w_j), agent=i, against=j, prefix=k),
+        w_j, t = scaled[j], t_j - 1
+        gated = gates[j]
+        if gated is None:
+            gated = gates[j] = (everyone, ()) if notion == "wef1" else (
+                [(i, w_i) for i, w_i in everyone if w_i >= w_j and i != j],
+                [(i, w_i) for i, w_i in everyone if w_i <= w_j and i != j],
             )
+        below, upper = gated
+        for i, w_i in below:
+            if counts[i] * w_j < w_i * t:
+                return _envy_witness(notion, counts, scaled, j, k)
+        for i, w_i in upper:
+            if (counts[i] + 1) * w_j < w_i * t_j:
+                return _envy_witness(notion, counts, scaled, j, k)
     return FairnessVerdict(notion, True)
+
+
+def _envy_witness(
+    notion: str, counts: list[int], scaled: Sequence[int], j: int, k: int
+) -> FairnessVerdict:
+    """The failing verdict of the first prefix k, at which j just picked and
+    some pair (i, j) fails: the lowest such i, with the first condition
+    before the second."""
+    t_j, w_j = counts[j], scaled[j]
+    for i, (t_i, w_i) in enumerate(zip(counts, scaled)):
+        if i == j:
+            continue
+        if (notion == "wef1" or w_i >= w_j) and t_i * w_j < w_i * (t_j - 1):
+            lhs = Fraction(t_i, t_j - 1)
+        elif notion == "wwef1" and w_i <= w_j and (t_i + 1) * w_j < w_i * t_j:
+            lhs = Fraction(t_i + 1, t_j)
+        else:
+            continue
+        return FairnessVerdict(
+            notion,
+            False,
+            Witness(lhs=lhs, rhs=Fraction(w_i, w_j), agent=i, against=j, prefix=k),
+        )
+    raise AssertionError("a failing pair was found but not its witness")
 
 
 def divisor_wwef1_condition(f: DivisorFunction, t_max: int) -> FairnessVerdict:

@@ -7,11 +7,14 @@ t <= f(t) <= t+1.  The quota method restricts the Jefferson rule
 
 Scores compare through the exact order form of f(t), a power of f(t)
 that clears any root, on weights scaled to integers by one common factor.
-Two scores compare by one cross-multiplication of their forms
-(``compare_forms``), shared by ``compare_scores`` and the WWEF1 divisor
-condition.  The generator keeps its own path: it puts all scores of one
-call on one integer scale, as floor keys at one power of two, so that its
-heap compares plain ints in C; when f(0) = 0 every agent picks once, in
+Each ``DivisorFunction`` keeps a table of its forms by count, filled on
+first use by ``exact_form``, so a form is computed once per function, not
+once per call; the generator, ``compare_scores`` and the WWEF1 divisor
+condition all read it.  Two scores compare by one cross-multiplication of
+their forms (``compare_forms``), shared by ``compare_scores`` and the WWEF1
+divisor condition.  The generator keeps its own path: it puts all scores of
+one call on one integer scale, as floor keys at one power of two, so that
+its heap compares plain ints in C; when f(0) = 0 every agent picks once, in
 index order, before the heap starts.  Power means with a non-integer,
 non-zero exponent have no exact form and raise ``PrecisionError``.  What
 depends on a divisor family is read from ``DIVISOR_FAMILIES``.
@@ -25,14 +28,14 @@ divisor function.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from . import baselines, core, mwnw
 from .core import (
-    Allocation, Instance, ParseError, PickingSequence, _as_rational, format_rational,
+    Allocation, Instance, ParseError, PickingSequence, _as_rational, _view, format_rational,
     integer_weights, parse_rational,
 )
 from .executor import execute
@@ -72,6 +75,19 @@ class DivisorFunction:
     def name(self) -> str:
         return DIVISOR_FAMILIES[self.kind].name(self)
 
+    @_view
+    def _forms(self) -> dict[int, tuple[int, int, int]]:
+        """The order forms by count that ``exact_form`` has computed, made
+        empty on first use.  Like ``Instance``'s views it sits in the
+        __dict__ and takes no part in equality, hashing, ``repr``, pickling,
+        copies or ``dataclasses.replace``; a count whose form failed is
+        never stored, so it fails again on its next use."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        # the form table is derived data: pickle and copy the fields
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def order_form(self, t: int) -> tuple[int, int, int] | None:
         """Integers (num, den, e) with num/den = f(t)^e, so f(t)/w orders as
         num/(den*w^e), reversed when e < 0; num == 0 exactly when f(t) = 0.
@@ -94,10 +110,15 @@ class DivisorFunction:
 
 
 def exact_form(f: DivisorFunction, t: int) -> tuple[int, int, int]:
-    """f's order form at t; ``PrecisionError`` when it has none."""
-    form = f.order_form(t)
+    """f's order form at t, read from f's table of forms and computed only
+    when the table lacks it; ``PrecisionError`` when it has none."""
+    forms = f._forms
+    form = forms.get(t)
     if form is None:
-        raise PrecisionError(f.name)
+        form = f.order_form(t)
+        if form is None:
+            raise PrecisionError(f.name)
+        forms[t] = form  # one dict store: racing threads store equal forms
     return form
 
 
@@ -299,49 +320,53 @@ def divisor_sequence(
     their keys differ, and equal X give equal keys, which go to the lower
     index.  A form whose den outgrows k's bound at least doubles the bit
     budget of den in k and recomputes the n keys, which keeps their order
-    and so the heap.  Each count's form is computed once, shared by all
-    agents, and only while a turn remains, so f is evaluated at exactly
-    the counts a turn compares.
+    and so the heap.  Each key is computed inline from f's form table
+    (``exact_form``), which all agents and every later call share.  A call
+    asks the table for a count only while a turn remains, so f is evaluated
+    only at counts a turn compares, each once per function: a count that
+    fails (``PrecisionError``, a custom table's end) fails in every call
+    that reaches it.
     """
     ws = _check_arguments(n, m, weights)
     if n == 1 or m == 0:
         return PickingSequence._trusted((0,) * m)  # no turn compares two scores
-    forms = [exact_form(f, 0)]
+    forms = f._forms
+    top = 0  # the largest count this call has read a form at
     turns = []
-    if forms[0][0] == 0:
+    if exact_form(f, 0)[0] == 0:
         # every score f(0)/w is 0 and every later one positive
         turns = list(range(min(n, m)))
         if m > 1:
-            forms.append(exact_form(f, 1))  # the agent of the first turn, at count 1
+            top = 1
+            exact_form(f, 1)  # the agent of the first turn, at count 1
         if m <= n:
             return PickingSequence._trusted(tuple(turns))
-    counts = [len(forms) - 1] * n  # every agent holds one count here
-    e = forms[-1][2]
+    counts = [top] * n  # every agent holds one count here
+    num, den, e = forms[top]
     # X_i = num * up[i] / (den * down[i])
     up = [1] * n if e > 0 else [-(w**-e) for w in ws]
     down = [w**e for w in ws] if e > 0 else [1] * n
-    den_bits = forms[-1][1].bit_length()
+    den_bits = den.bit_length()
     down_bits = max(down).bit_length()
     shift = 2 * (den_bits + down_bits)
-
-    def key(i: int) -> int:
-        num, den, _ = forms[counts[i]]
-        return (num * up[i] << shift) // (den * down[i])
-
-    heap = [(key(i), i) for i in range(n)]
+    heap = [((num * u << shift) // (den * d), i) for i, (u, d) in enumerate(zip(up, down))]
     heapq.heapify(heap)
     for _ in range(len(turns), m - 1):
         best = heap[0][1]
         turns.append(best)
         t = counts[best] + 1
-        if t == len(forms):
-            forms.append(exact_form(f, t))
-            if forms[t][1].bit_length() > den_bits:
-                den_bits = max(2 * den_bits, forms[t][1].bit_length())
+        if t > top:
+            top = t
+            num, den, _ = exact_form(f, t)
+            if den.bit_length() > den_bits:
+                den_bits = max(2 * den_bits, den.bit_length())
                 shift = 2 * (den_bits + down_bits)
-                heap = [(key(i), i) for _, i in heap]
+                heap = [((forms[counts[i]][0] * up[i] << shift) // (forms[counts[i]][1] * down[i]), i)
+                        for _, i in heap]
+        else:
+            num, den, _ = forms[t]
         counts[best] = t
-        heapq.heapreplace(heap, (key(best), best))
+        heapq.heapreplace(heap, ((num * up[best] << shift) // (den * down[best]), best))
     turns.append(heap[0][1])
     return PickingSequence._trusted(tuple(turns))
 

@@ -7,6 +7,7 @@ Sequences and allocations must be equal, verdicts equal as whole values
 and t), and monotonicity reports equal field for field.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -124,6 +125,58 @@ def test_quota_sequences_and_random_sequences_match_reference():
         assert_verdicts_match(tuple(rng.randrange(n) for _ in range(m)), weights)
 
 
+def gated_weights(rng, n):
+    """Weights on which both WWEF1 weight gates apply to many pairs: many
+    equal weights, or integer or p/q weights one apart."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        return tuple(Fraction(rng.choice((3, 3, 3, 4))) for _ in range(n))
+    low, den = rng.randint(1, 1000), rng.choice((1, 1, 7))
+    return tuple(Fraction(low + rng.randint(0, 1), den) for _ in range(n))
+
+
+def gated_sequences(rng, count):
+    """Divisor sequences on ``gated_weights``, of 1..6 agents and 0..24
+    turns, left as they are, with one turn moved, or with some agents held
+    to one pick, their later turns given to others."""
+    for _ in range(count):
+        n, m = rng.randint(1, 6), rng.randint(0, 24)
+        weights = gated_weights(rng, n)
+        turns = list(divisor_sequence(rng.choice(list(TRADITIONAL.values())), n, m, weights).turns)
+        shape = rng.randrange(3)
+        if shape == 1 and m:
+            turns[rng.randrange(m)] = rng.randrange(n)
+        elif shape == 2 and n > 1:
+            once, seen = set(rng.sample(range(n), rng.randint(1, n - 1))), set()
+            for k, a in enumerate(turns):
+                if a in once and a in seen:
+                    turns[k] = rng.choice([b for b in range(n) if b not in once])
+                seen.add(turns[k])
+        yield tuple(turns), weights
+
+
+def test_envy_verdicts_match_reference_on_gated_weights():
+    # whole verdicts, witness included; a witness's pair is tallied by the
+    # sign of w_i - w_j, which names the gate that found it, and by whether
+    # agent j had picked before its second pick, that is, whether j's
+    # tested pairs were built at an earlier prefix
+    rng = random.Random(5117)
+    tally, edges = Counter(), Counter()
+    for turns, weights in gated_sequences(rng, 1500):
+        edges["one agent" if len(weights) == 1 else "no turns" if not turns else "other"] += 1
+        edges["an agent picks once"] += any(turns.count(a) == 1 for a in range(len(weights)))
+        for notion in ("wef1", "wwef1"):
+            got = check_sequence(notion, turns, weights)
+            assert got == reference.check_sequence(notion, turns, weights), (notion, turns, weights)
+            if not got.holds:
+                i, j, k = got.witness.agent, got.witness.against, got.witness.prefix
+                sign = (weights[i] > weights[j]) - (weights[i] < weights[j])
+                tally[notion, sign, turns[:k].count(j) > 2] += 1
+    assert all(tally["wwef1", sign, late] >= 10 for sign in (-1, 0, 1) for late in (False, True)), tally
+    assert all(tally["wef1", sign, True] >= 10 for sign in (-1, 0, 1)), tally
+    assert min(edges.values()) >= 40, edges
+
+
 def test_remembered_weights_give_the_results_of_a_fresh_tuple():
     # every call after the first on one tuple reads the entry that
     # core.integer_weights remembered; equal copies, run in the other order
@@ -176,6 +229,26 @@ def test_evaluation_failures_match_reference():
         assert impl(strict, 3, 1, (1, 2, 3)).turns == (0,)
         with pytest.raises(PrecisionError):
             impl(strict, 3, 3, (1, 2, 3))
+
+
+def test_form_tables_stay_with_their_function():
+    # each function keeps its own forms: calls on two functions in turn,
+    # and on a fresh equal copy, give the reference's results
+    rng = random.Random(5119)
+    for _ in range(80):
+        f, g = rng.sample(FAMILIES, 2)
+        n, m = rng.randint(2, 5), rng.randint(0, 30)
+        weights = draw_weights(rng, n)
+        t_a, t_b = rng.randint(0, 30), rng.randint(0, 30)
+        for h in (f, g, dataclasses.replace(f), g):
+            assert divisor_sequence(h, n, m, weights) == reference.divisor_sequence(h, n, m, weights)
+            assert compare_scores(h, t_a, weights[0], t_b, weights[1]) == reference.compare_scores(
+                h, t_a, weights[0], t_b, weights[1]), (h, t_a, t_b, weights)
+        try:
+            expected = reference.divisor_wwef1_condition(g, 30)
+        except PrecisionError:
+            continue
+        assert divisor_wwef1_condition(g, 30) == expected
 
 
 def draw_values(rng, count):
@@ -321,8 +394,36 @@ def test_execute_and_envy_edges_match_reference():
         turns = [rng.randrange(inst.n) for _ in range(inst.m)]
         assert execute(inst, turns) == reference.execute(inst, turns), (inst, turns)
         bundles = [set(b) for b in random_allocation(rng, inst.n, inst.m).bundles]
-        _, rows = inst.scaled_utilities
-        assert _envy_edges(rows, bundles) == reference.envy_edges(inst, bundles), (inst, bundles)
+        assert _envy_edges(inst, bundles) == reference.envy_edges(inst, bundles), (inst, bundles)
+
+
+def sparse_allocations(rng, inst):
+    """Allocations of the instance in which most bundles are empty or hold
+    one item: every item to one agent, one item each, or items spread over
+    a few agents."""
+    n, m = inst.n, inst.m
+    yield Allocation(tuple(frozenset(range(m)) if i == 0 else frozenset() for i in range(n)))
+    order = rng.sample(range(n), n)
+    yield Allocation(tuple(frozenset(g for g in range(m) if order[g % n] == i) for i in range(n)))
+    holders = rng.sample(range(n), rng.randint(1, n))
+    owner = [rng.choice(holders) for _ in range(m)]
+    yield Allocation(tuple(frozenset(g for g in range(m) if owner[g] == i) for i in range(n)))
+
+
+def test_allocation_verdicts_and_envy_edges_match_reference_on_empty_and_one_item_bundles():
+    rng = random.Random(5118)
+    sizes, failed = Counter(), Counter()
+    for _ in range(300):
+        inst = draw_instance(rng, 5, 6)
+        for allocation in sparse_allocations(rng, inst):
+            sizes.update(min(len(b), 2) for b in allocation.bundles)
+            for notion in NOTIONS:
+                got = check_allocation(notion, inst, allocation)
+                assert got == reference.check_allocation(notion, inst, allocation), (notion, inst, allocation)
+                failed[notion] += not got.holds
+            bundles = [set(b) for b in allocation.bundles]
+            assert _envy_edges(inst, bundles) == reference.envy_edges(inst, bundles), (inst, bundles)
+    assert min(sizes.values()) >= 200 and min(failed.values()) >= 30, (sizes, failed)
 
 
 def benchmark_scale_weights(rng, n, rational):

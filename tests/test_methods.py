@@ -396,3 +396,114 @@ def test_divisor_sequence_builds_no_fraction_per_turn(monkeypatch, f):
         monkeypatch.undo()
         counts.append(len(built))
     assert counts[0] == counts[1] <= 2 * len(weights)
+
+
+# --- the form table -------------------------------------------------------------
+
+
+def counting_forms(monkeypatch):
+    """Patch ``DivisorFunction.order_form`` to record each (function kind,
+    count) it is asked for; return the record."""
+    asked = []
+    order_form = DivisorFunction.order_form
+
+    def counted(self, t):
+        asked.append((self.kind, t))
+        return order_form(self, t)
+
+    monkeypatch.setattr(DivisorFunction, "order_form", counted)
+    return asked
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: stationary(Fraction(1, 3)), lambda: power_mean(2, Fraction(1, 2)),
+     lambda: power_mean(0, Fraction(1, 3)), lambda: power_mean(-2, Fraction(1, 3)),
+     lambda: custom([0, Fraction(3, 2)], tail_offset=Fraction(1, 2))],
+    ids=["stationary", "powermean-2", "powermean-0", "powermean--2", "custom"],
+)
+def test_a_second_call_evaluates_no_form(monkeypatch, make):
+    f = make()
+    asked = counting_forms(monkeypatch)
+    weights = (Fraction(3, 7), Fraction(5), Fraction(11, 13), Fraction(2))
+    first = divisor_sequence(f, 4, 60, weights)
+    assert asked and len(asked) == len(set(asked))  # each count once
+    asked.clear()
+    assert divisor_sequence(f, 4, 60, weights) == first
+    shorter = divisor_sequence(f, 4, 30, weights[::-1])
+    # the verifier and the comparison read the same table
+    divisor_wwef1_condition(f, 10)
+    compare_scores(f, 3, Fraction(2), 4, Fraction(5))
+    assert asked == []
+    assert shorter == divisor_sequence(make(), 4, 30, weights[::-1])
+    asked.clear()
+    # an equal function has its own table, filled on its own first use
+    g = make()
+    assert g == f and divisor_sequence(g, 4, 60, weights) == first
+    assert asked and len(asked) == len(set(asked))
+
+
+def test_failures_repeat_after_a_successful_short_call():
+    short = custom([0, 1])
+    weights = (Fraction(2), Fraction(1))
+    assert divisor_sequence(short, 2, 3, weights).turns == (0, 1, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="covers t < 2; got t=2"):
+            divisor_sequence(short, 2, 5, weights)
+        with pytest.raises(ValueError, match="covers t < 2; got t=2"):
+            compare_scores(short, 2, 1, 0, 1)
+    assert divisor_sequence(short, 2, 3, weights).turns == (0, 1, 0)
+    strict = power_mean(Fraction(-1, 2), Fraction(1, 2))
+    assert divisor_sequence(strict, 1, 9, (1,)).turns == (0,) * 9
+    assert divisor_sequence(strict, 3, 1, (1, 2, 3)).turns == (0,)
+    for _ in range(2):
+        with pytest.raises(PrecisionError):
+            divisor_sequence(strict, 3, 3, (1, 2, 3))
+    assert strict._forms == {0: (0, 1, 1)}  # no failed count is stored
+
+
+def test_the_form_table_takes_no_part_in_equality_repr_or_copies():
+    import copy
+    import dataclasses
+    import pickle
+
+    for make in (lambda: power_mean(2, Fraction(1, 2)), lambda: custom([0, 1], Fraction(1, 2))):
+        used, fresh = make(), make()
+        divisor_sequence(used, 3, 40, (1, 2, 3))
+        assert used._forms and "_forms" not in fresh.__dict__
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        for twin in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used),
+                     dataclasses.replace(used)):
+            assert twin == used and hash(twin) == hash(used) and repr(twin) == repr(used)
+            assert "_forms" not in twin.__dict__
+            assert divisor_sequence(twin, 3, 40, (1, 2, 3)) == divisor_sequence(used, 3, 40, (1, 2, 3))
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        changed = dataclasses.replace(used, w=Fraction(1, 3)) if used.kind == "powermean" else \
+            dataclasses.replace(used, tail_offset=Fraction(1, 3))
+        assert "_forms" not in changed.__dict__ and changed != used
+
+
+def test_threads_racing_on_a_first_use_share_one_form_table():
+    import sys
+    import threading
+
+    weights = (3, 5, 7, 11)
+    alone = power_mean(2, Fraction(1, 2))
+    expected = divisor_sequence(alone, 4, 200, weights)
+    for _ in range(5):
+        f, results = power_mean(2, Fraction(1, 2)), []
+        threads = [threading.Thread(target=lambda: results.append(divisor_sequence(f, 4, 200, weights)))
+                   for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 8
+        # one table, holding what one call alone fills
+        assert f._forms == alone._forms

@@ -109,8 +109,9 @@ def test_summarize_skips_pairs_with_an_errored_run():
     ]
     setups = {"base": [0.5, 0.7], "head": [0.6, {"error": "exit 2: bad"}]}
     summary = bench_pairs.summarize(pairs, setups, METRICS)
-    assert summary["ops_per_s"] == {"unit": "1/s", "bound": 0.25,
-                                    **bench_pairs.compare([10.0, 14.0], [12.0, 11.0], "higher")}
+    entry = bench_pairs.compare([10.0, 14.0], [12.0, 11.0], "higher")
+    assert summary["ops_per_s"] == {"unit": "1/s", "bound": 0.25, **entry,
+                                    "verdict": bench_pairs.verdict(entry, 0.25)}
     assert summary["setup_only_s"] == bench_pairs.compare_processes({"base": [0.5], "head": [0.6]})
 
 
@@ -118,3 +119,55 @@ def test_summarize_with_every_pair_errored_is_empty():
     pairs = [{"base": {"error": "exit 1: crash"}, "head": _run(1.0)}]
     failed = {"error": "exit 1: crash"}
     assert bench_pairs.summarize(pairs, {"base": [failed], "head": [failed]}, METRICS) == {}
+
+
+def _entry(base, head, better="higher"):
+    return bench_pairs.compare(base, head, better)
+
+
+BASE_TEN = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.0, 100.0]  # IQR 1.0
+
+
+@pytest.mark.parametrize("better, sign", [("higher", 1), ("lower", -1)])
+def test_verdict_gain_needs_nine_tenths_of_ten_pairs_and_more_than_the_base_iqr(better, sign):
+    head = [b + sign * 5 for b in BASE_TEN]
+    assert bench_pairs.verdict(_entry(BASE_TEN, head, better), 0.25) == "gain"
+    # one pair lost of ten still gains; two lost do not
+    one_lost = head[:9] + [BASE_TEN[9] - sign * 5]
+    assert bench_pairs.verdict(_entry(BASE_TEN, one_lost, better), 0.25) == "gain"
+    two_lost = head[:8] + [b - sign * 5 for b in BASE_TEN[8:]]
+    assert bench_pairs.verdict(_entry(BASE_TEN, two_lost, better), 0.25) == "within bound"
+    # every pair won, by less than the base's interquartile range
+    small = [b + sign * 0.5 for b in BASE_TEN]
+    assert bench_pairs.verdict(_entry(BASE_TEN, small, better), 0.25) == "within bound"
+    # every pair won, but fewer than ten pairs
+    assert bench_pairs.verdict(_entry(BASE_TEN[:9], head[:9], better), 0.25) == "within bound"
+
+
+@pytest.mark.parametrize("better, sign", [("higher", 1), ("lower", -1)])
+def test_verdict_worse_beyond_the_bound(better, sign):
+    worse = [b - sign * 30 for b in BASE_TEN]
+    assert bench_pairs.verdict(_entry(BASE_TEN, worse, better), 0.25) == "worse"
+    slightly = [b - sign * 20 for b in BASE_TEN]
+    assert bench_pairs.verdict(_entry(BASE_TEN, slightly, better), 0.25) == "within bound"
+
+
+def test_verdict_unresolved_when_the_base_spreads_wider_than_the_bound():
+    base = [50.0, 150.0, 100.0, 60.0, 140.0, 100.0]  # IQR 62.5 on a median of 100
+    assert bench_pairs.verdict(_entry(base, [b + 1 for b in base]), 0.25) == "unresolved"
+    assert bench_pairs.verdict(_entry(base, [b + 1 for b in base]), 0.7) == "within bound"
+    assert bench_pairs.verdict(_entry([0.0, 0.0], [0.0, 0.0], "lower"), 0.25) == "unresolved"
+
+
+def test_summarize_and_the_table_carry_each_verdict():
+    pairs = [{"base": {**_run(b), "correct": True, "failed": 0},
+              "head": {**_run(b + 5), "correct": True, "failed": 0}} for b in BASE_TEN]
+    summary = bench_pairs.summarize(pairs, {"base": [], "head": []}, METRICS)
+    assert summary["ops_per_s"]["verdict"] == "gain"
+    result = {"revisions": {"base": {"name": "a"}, "head": {"name": "b"}}, "pairs": 10, "seconds": 1,
+              "workloads": {"apportion": {"summary": summary, "pairs": pairs,
+                                          "setup_only_s": {"base": [], "head": []}}},
+              "cold_start_cpu_s": {"runs": 0, "summary": None, "times": {"base": [], "head": []}}}
+    table = bench_pairs.medians_table(result)
+    assert "| verdict |" in table
+    assert "| apportion | ops_per_s (1/s) | 100 | 105 | +5.0% | 0/10 | gain |" in table

@@ -21,8 +21,9 @@ number of usable cores, whether ``PYTHONDONTWRITEBYTECODE`` was set and
 whether each checkout had a ``__pycache__`` before and after, every run's
 final JSON line, and per workload and end-to-end metric of
 ``BENCHMARK.json`` each side's median and quartiles and the pairs each side
-won (ties count for neither), and the same for the cold starts' CPU
-time.  Each revision is also recorded by the git
+won (ties count for neither) with its ``verdict`` against the metric's
+bound (gain, worse, unresolved or within bound), and the same, without a
+verdict, for the cold starts' CPU time.  Each revision is also recorded by the git
 ids of ``src``, the benchmark's ``paths`` and ``BENCHMARK.json``, so a
 record can be matched to any commit that holds the same files.  Standard
 output gets the table of medians in Markdown; progress goes to standard
@@ -50,6 +51,7 @@ from pathlib import Path
 SIDES = ("base", "head")
 RUN_TIMEOUT_S = 900
 COLD_STARTS = 30
+MIN_GAIN_PAIRS = 10  # fewer pairs than this support no claim of a gain
 COLD_START_ARGV = ["-m", "pickseq", "sequence", "--method", "webster", "--weights", "3,5,7",
                    "--turns", "12", "--json"]
 
@@ -145,6 +147,34 @@ def compare(base: list[float], head: list[float], better: str) -> dict:
     return entry
 
 
+def verdict(entry: dict, bound: float) -> str:
+    """The verdict on one metric's ``compare`` entry against its
+    ``BENCHMARK.json`` bound, a fraction of the base's median:
+
+    - ``gain``: at least ten pairs ran, the head won at least nine tenths
+      of them (ties count for neither), and its median is better than the
+      base's by more than the base's interquartile range;
+    - ``worse``: the head's median is worse than the base's by more than
+      the bound;
+    - ``unresolved``: the base's own interquartile range is wider than the
+      bound, so no change within the bound can be told from noise;
+    - ``within bound`` otherwise.
+    """
+    base, head = entry["base"], entry["head"]
+    sign = 1 if entry["better"] == "higher" else -1
+    gained = sign * (head["median"] - base["median"])
+    if (base["n"] >= MIN_GAIN_PAIRS and 10 * entry["pairs_won"]["head"] >= 9 * base["n"]
+            and gained > base["q3"] - base["q1"]):
+        return "gain"
+    if not base["median"]:
+        return "unresolved"  # no relative change or spread
+    if -gained > bound * abs(base["median"]):
+        return "worse"
+    if base["q3"] - base["q1"] > bound * abs(base["median"]):
+        return "unresolved"
+    return "within bound"
+
+
 def compare_processes(times: dict) -> dict | None:
     """``compare`` of the per-side seconds of processes, lower is better,
     over the pairs whose two processes both finished; None if none did."""
@@ -159,15 +189,17 @@ def compare_processes(times: dict) -> dict | None:
 def summarize(pairs: list[dict], setups: dict, metrics: list[dict]) -> dict:
     """Per end-to-end metric, over the pairs whose two runs both finished,
     and for the ``--setup-only`` processes (``compare_processes``):
-    ``compare`` of the two sides."""
+    ``compare`` of the two sides; each end-to-end metric also gets its
+    ``verdict`` against its bound."""
     finished = [p for p in pairs if not any("error" in p[side] for side in SIDES)]
     out = {}
     if finished:
         for metric in metrics:
             base, head = ([p[side]["metrics"][metric["name"]]["value"] for p in finished]
                           for side in SIDES)
-            out[metric["name"]] = {"unit": metric["unit"], "bound": metric["bound"],
-                                   **compare(base, head, metric["better"])}
+            entry = compare(base, head, metric["better"])
+            out[metric["name"]] = {"unit": metric["unit"], "bound": metric["bound"], **entry,
+                                   "verdict": verdict(entry, metric["bound"])}
     setup = compare_processes(setups)
     if setup:
         out["setup_only_s"] = setup
@@ -183,30 +215,31 @@ def table_row(label: str, name: str, m: dict) -> str:
     change = f"{m['change']:+.1%}" if "change" in m else "-"
     return (f"| {label} | {name} ({m['unit']}) | {m['base']['median']:.4g} | "
             f"{m['head']['median']:.4g} | {change} | "
-            f"{m['pairs_won']['base']}/{m['pairs_won']['head']} |")
+            f"{m['pairs_won']['base']}/{m['pairs_won']['head']} | {m.get('verdict', '-')} |")
 
 
 def medians_table(result: dict) -> str:
     lines = [f"### Paired benchmark: {result['revisions']['base']['name']} (base) against "
              f"{result['revisions']['head']['name']} (head), {result['pairs']} pair(s), "
              f"{result['seconds']} s per run",
-             "", "| workload | metric | base median | head median | change | pairs won base/head |",
-             "|---|---|---|---|---|---|"]
+             "", "| workload | metric | base median | head median | change | pairs won base/head "
+             "| verdict |",
+             "|---|---|---|---|---|---|---|"]
     for workload, entry in result["workloads"].items():
         for name, m in entry["summary"].items():
             lines.append(table_row(workload, name, m))
         failed = {side: sum(not run_ok(p[side]) for p in entry["pairs"]) for side in SIDES}
         lines.append(f"| {workload} | runs failed or incorrect | {failed['base']} | "
-                     f"{failed['head']} | | |")
+                     f"{failed['head']} | | | |")
         failed = failed_count(entry["setup_only_s"])
         lines.append(f"| {workload} | setup-only processes failed | {failed['base']} | "
-                     f"{failed['head']} | | |")
+                     f"{failed['head']} | | | |")
     cold = result["cold_start_cpu_s"]
     label = f"cold start, {cold['runs']} per side"
     if cold["summary"]:
         lines.append(table_row(label, "CPU time", cold["summary"]))
     failed = failed_count(cold["times"])
-    lines.append(f"| {label} | cold starts failed | {failed['base']} | {failed['head']} | | |")
+    lines.append(f"| {label} | cold starts failed | {failed['base']} | {failed['head']} | | | |")
     return "\n".join(lines)
 
 
