@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -463,10 +468,6 @@ def test_failures_repeat_after_a_successful_short_call():
 
 
 def test_the_form_table_takes_no_part_in_equality_repr_or_copies():
-    import copy
-    import dataclasses
-    import pickle
-
     for make in (lambda: power_mean(2, Fraction(1, 2)), lambda: custom([0, 1], Fraction(1, 2))):
         used, fresh = make(), make()
         divisor_sequence(used, 3, 40, (1, 2, 3))
@@ -484,9 +485,6 @@ def test_the_form_table_takes_no_part_in_equality_repr_or_copies():
 
 
 def test_threads_racing_on_a_first_use_share_one_form_table():
-    import sys
-    import threading
-
     weights = (3, 5, 7, 11)
     alone = power_mean(2, Fraction(1, 2))
     expected = divisor_sequence(alone, 4, 200, weights)
