@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: sequence, allocate, fairness, mwnw, mono, consistency, scan,
-repro.  Human-readable text by default, exact JSON with --json (rationals
-as "p/q" strings, agents and items 1-indexed, stable key order).  Exit
-status 0 when the result holds or passes, 1 when a violation or failure
-was found, 2 on usage or input errors.
+repro.  Each result is built once as a JSON payload (rationals as "p/q"
+strings, agents and items 1-indexed); --json prints it with a stable key
+order, and without --json its text is rendered from it.  Exit status 0
+when the result holds or passes, 1 when a violation or failure was found,
+2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .core import (
     Allocation,
     Instance,
     ParseError,
+    allocation_to_document,
     allocation_utilities,
     format_rational,
     instance_to_document,
@@ -26,6 +28,7 @@ from .core import (
     parse_instance,
     parse_rational,
     parse_sequence,
+    sequence_to_document,
 )
 from .executor import execute
 from .fairness import (
@@ -63,11 +66,13 @@ MAX_SCAN_BOUNDS = {"trials": 5_000, "max_n": 4, "max_m": 8}
 MAX_BUDGET = DEFAULT_BUDGET
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
+def _emit(payload: dict, as_json: bool, render) -> None:
+    """Print the payload as JSON, or without --json the text that
+    ``render`` makes of it."""
     if as_json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(text)
+        print(render(payload))
 
 
 def _parse_weights(text: str) -> tuple[Fraction, ...]:
@@ -105,45 +110,34 @@ def _load_text_or_file(arg: str) -> str:
         return handle.read()
 
 
-def _witness_payload(verdict: FairnessVerdict) -> dict | None:
-    w = verdict.witness
-    if w is None:
-        return None
-    payload: dict = {
-        "lhs": format_rational(w.lhs),
-        "rhs": format_rational(w.rhs),
-    }
-    if w.agent is not None:
-        payload["agent"] = w.agent + 1
-    if w.against is not None:
-        payload["against"] = w.against + 1
-    if w.prefix is not None:
-        payload["prefix"] = w.prefix
-    if w.removed is not None:
-        payload["removed"] = sorted(g + 1 for g in w.removed)
-    return payload
-
-
 def _verdict_payload(verdict: FairnessVerdict) -> dict:
     payload = {"notion": verdict.notion, "holds": verdict.holds}
-    witness = _witness_payload(verdict)
-    if witness is not None:
-        payload["witness"] = witness
+    w = verdict.witness
+    if w is not None:
+        witness = payload["witness"] = {"lhs": format_rational(w.lhs), "rhs": format_rational(w.rhs)}
+        if w.agent is not None:
+            witness["agent"] = w.agent + 1
+        if w.against is not None:
+            witness["against"] = w.against + 1
+        if w.prefix is not None:
+            witness["prefix"] = w.prefix
+        if w.removed is not None:
+            witness["removed"] = sorted(g + 1 for g in w.removed)
     return payload
 
 
-def _verdict_text(verdict: FairnessVerdict) -> str:
-    if verdict.holds:
-        return f"{verdict.notion}: holds"
-    w = verdict.witness
-    parts = [f"{verdict.notion}: violated"]
-    if w.prefix is not None:
-        parts.append(f"at prefix k={w.prefix}")
-    if w.agent is not None and w.against is not None:
-        parts.append(f"(agent {w.agent + 1} vs agent {w.against + 1})")
-    elif w.agent is not None:
-        parts.append(f"(agent {w.agent + 1})")
-    parts.append(f"{format_rational(w.lhs)} < {format_rational(w.rhs)}")
+def _verdict_text(payload: dict) -> str:
+    if payload["holds"]:
+        return f"{payload['notion']}: holds"
+    w = payload["witness"]
+    parts = [f"{payload['notion']}: violated"]
+    if "prefix" in w:
+        parts.append(f"at prefix k={w['prefix']}")
+    if "agent" in w and "against" in w:
+        parts.append(f"(agent {w['agent']} vs agent {w['against']})")
+    elif "agent" in w:
+        parts.append(f"(agent {w['agent']})")
+    parts.append(f"{w['lhs']} < {w['rhs']}")
     return " ".join(parts)
 
 
@@ -154,42 +148,31 @@ def _report_payload(report: MonotonicityReport) -> dict:
         "violated": report.violated,
         "violating_agents": [i + 1 for i in report.violators],
         "utilities": [
-            {
-                "agent": i + 1,
-                "before": format_rational(report.before[i]),
-                "after": format_rational(report.after[i]),
-            }
-            for i in range(len(report.before))
+            {"agent": i, "before": format_rational(before), "after": format_rational(after)}
+            for i, (before, after) in enumerate(zip(report.before, report.after), start=1)
         ],
     }
 
 
-def _report_text(report: MonotonicityReport) -> str:
-    lines = [
-        f"agent {i + 1}: {format_rational(report.before[i])} -> {format_rational(report.after[i])}"
-        for i in range(len(report.before))
-    ]
-    verdict = "VIOLATED" if report.violated else "respected"
-    agents = ", ".join(str(i + 1) for i in report.violators)
-    suffix = f" (agent {agents})" if report.violators else ""
-    lines.append(f"{report.kind}-monotonicity: {verdict}{suffix}")
+def _report_text(payload: dict) -> str:
+    lines = [f"agent {u['agent']}: {u['before']} -> {u['after']}" for u in payload["utilities"]]
+    verdict = "VIOLATED" if payload["violated"] else "respected"
+    agents = ", ".join(map(str, payload["violating_agents"]))
+    suffix = f" (agent {agents})" if agents else ""
+    lines.append(f"{payload['property']}-monotonicity: {verdict}{suffix}")
     return "\n".join(lines)
 
 
 def _allocation_payload(instance: Instance, allocation: Allocation) -> dict:
     utilities = allocation_utilities(instance, allocation)
-    return {
-        "bundles": [sorted(g + 1 for g in b) for b in allocation.bundles],
-        "utilities": [format_rational(u) for u in utilities],
-    }
+    return {**allocation_to_document(allocation), "utilities": [format_rational(u) for u in utilities]}
 
 
-def _allocation_text(instance: Instance, allocation: Allocation) -> str:
-    utilities = allocation_utilities(instance, allocation)
+def _allocation_text(payload: dict) -> str:
     lines = []
-    for i, bundle in enumerate(allocation.bundles):
-        items = " ".join(str(g + 1) for g in sorted(bundle)) or "-"
-        lines.append(f"agent {i + 1}: items [{items}] utility {format_rational(utilities[i])}")
+    for i, (bundle, utility) in enumerate(zip(payload["bundles"], payload["utilities"]), start=1):
+        items = " ".join(map(str, bundle)) or "-"
+        lines.append(f"agent {i}: items [{items}] utility {utility}")
     return "\n".join(lines)
 
 
@@ -200,8 +183,8 @@ def _cmd_sequence(args) -> int:
     weights = _parse_weights(args.weights)
     rule = rule_from_name(args.method)
     seq = rule.sequence_for(len(weights), args.turns, weights)
-    payload = {"method": rule.name, "turns": [a + 1 for a in seq.turns]}
-    _emit(payload, args.json, " ".join(str(a + 1) for a in seq.turns))
+    payload = {"method": rule.name, **sequence_to_document(seq)}
+    _emit(payload, args.json, lambda p: " ".join(map(str, p["turns"])))
     return 0
 
 
@@ -211,12 +194,12 @@ def _cmd_allocate(args) -> int:
     payload = {"method": rule.name}
     if rule.sequence is not None:
         seq = rule.sequence(instance.n, instance.m, instance.scaled_weights)
-        payload["sequence"] = [a + 1 for a in seq.turns]
+        payload["sequence"] = sequence_to_document(seq)["turns"]
         allocation = execute(instance, seq)
     else:
         allocation = rule.allocate(instance, args.budget)
     payload.update(_allocation_payload(instance, allocation))
-    _emit(payload, args.json, _allocation_text(instance, allocation))
+    _emit(payload, args.json, _allocation_text)
     return 0
 
 
@@ -244,15 +227,14 @@ def _cmd_fairness(args) -> int:
         instance = parse_instance(_load_text_or_file(args.instance))
         allocation = parse_allocation(_load_text_or_file(args.allocation))
         verdict = check_allocation(args.notion, instance, allocation)
-    _emit(_verdict_payload(verdict), args.json, _verdict_text(verdict))
+    _emit(_verdict_payload(verdict), args.json, _verdict_text)
     return 0 if verdict.holds else 1
 
 
 def _cmd_mwnw(args) -> int:
     instance = parse_instance(_load_text_or_file(args.instance))
     allocation = solve(instance, budget=args.budget)
-    payload = _allocation_payload(instance, allocation)
-    _emit(payload, args.json, _allocation_text(instance, allocation))
+    _emit(_allocation_payload(instance, allocation), args.json, _allocation_text)
     return 0
 
 
@@ -283,7 +265,7 @@ def _cmd_mono(args) -> int:
     rule = rule_from_name(args.rule)
     values = _load_perturbation(args.perturb, args.property, instance)
     report = PERTURBATIONS[args.property].compare(rule, instance, *values)
-    _emit(_report_payload(report), args.json, _report_text(report))
+    _emit(_report_payload(report), args.json, _report_text)
     return 1 if report.violated else 0
 
 
@@ -364,7 +346,8 @@ def _cmd_consistency(args) -> int:
         check = check_population_consistency_pair if population else check_weight_consistency_pair
         consistent = check(base, modified, agent)
     payload["consistent"] = consistent
-    _emit(payload, args.json, f"{args.kind}-consistency: {'holds' if consistent else 'VIOLATED'}")
+    _emit(payload, args.json,
+          lambda p: f"{p['kind']}-consistency: {'holds' if p['consistent'] else 'VIOLATED'}")
     return 0 if consistent else 1
 
 
@@ -387,29 +370,32 @@ def _cmd_scan(args) -> int:
         "max_m": args.max_m,
         "found": report is not None,
     }
-    if report is None:
-        _emit(payload, args.json, f"no {args.property} violation in {args.trials} trials")
-        return 0
-    payload["trial"] = report.trial
-    payload["instance"] = instance_to_document(report.instance)
-    if report.sequence is not None:
-        payload["sequence"] = [a + 1 for a in report.sequence.turns]
-    if report.verdict is not None:
-        payload["verdict"] = _verdict_payload(report.verdict)
-    if report.report is not None:
-        payload["report"] = _report_payload(report.report)
-    if report.perturbation is not None:
-        perturbation = dict(report.perturbation)
-        if "utilities" in perturbation:
-            perturbation["utilities"] = [format_rational(u) for u in perturbation["utilities"]]
-        if "weight" in perturbation:
-            perturbation["weight"] = format_rational(perturbation["weight"])
-        if "agent" in perturbation:
-            perturbation["agent"] = perturbation["agent"] + 1
-        payload["perturbation"] = perturbation
-    text = f"{args.property} violation at trial {report.trial} (seed {args.seed})"
-    _emit(payload, args.json, text)
-    return 1
+    if report is not None:
+        payload["trial"] = report.trial
+        payload["instance"] = instance_to_document(report.instance)
+        if report.sequence is not None:
+            payload["sequence"] = sequence_to_document(report.sequence)["turns"]
+        if report.verdict is not None:
+            payload["verdict"] = _verdict_payload(report.verdict)
+        if report.report is not None:
+            payload["report"] = _report_payload(report.report)
+        if report.perturbation is not None:
+            perturbation = dict(report.perturbation)
+            if "utilities" in perturbation:
+                perturbation["utilities"] = [format_rational(u) for u in perturbation["utilities"]]
+            if "weight" in perturbation:
+                perturbation["weight"] = format_rational(perturbation["weight"])
+            if "agent" in perturbation:
+                perturbation["agent"] = perturbation["agent"] + 1
+            payload["perturbation"] = perturbation
+    _emit(payload, args.json, _scan_text)
+    return 0 if report is None else 1
+
+
+def _scan_text(payload: dict) -> str:
+    if not payload["found"]:
+        return f"no {payload['property']} violation in {payload['trials']} trials"
+    return f"{payload['property']} violation at trial {payload['trial']} (seed {payload['seed']})"
 
 
 def _case_payload(result) -> dict:
@@ -422,8 +408,15 @@ def _case_payload(result) -> dict:
     }
 
 
-def _case_line(result) -> str:
-    return f"{result.case_id}: {'pass' if result.passed else 'FAIL ' + str(result.diff)}"
+def _case_line(payload: dict) -> str:
+    return f"{payload['id']}: {'pass' if payload['passed'] else 'FAIL ' + str(payload['diff'])}"
+
+
+def _cases_text(payload: dict) -> str:
+    cases = payload["cases"]
+    lines = [_case_line(c) for c in cases]
+    lines.append(f"total: {sum(c['passed'] for c in cases)}/{len(cases)} passed")
+    return "\n".join(lines)
 
 
 def _cmd_repro(args) -> int:
@@ -432,23 +425,17 @@ def _cmd_repro(args) -> int:
     if args.list:
         cases = repro.catalog()
         payload = {"cases": [{"id": c.id, "description": c.description} for c in cases]}
-        text = "\n".join(f"{c.id}: {c.description}" for c in cases)
-        _emit(payload, args.json, text)
+        _emit(payload, args.json,
+              lambda p: "\n".join(f"{c['id']}: {c['description']}" for c in p["cases"]))
         return 0
     if args.case is not None:
         result = repro.run_case(args.case)
-        _emit(_case_payload(result), args.json, _case_line(result))
+        _emit(_case_payload(result), args.json, _case_line)
         return 0 if result.passed else 1
     results = [repro.run_case(c.id) for c in repro.catalog()]
-    all_passed = all(r.passed for r in results)
-    payload = {
-        "passed": all_passed,
-        "cases": [_case_payload(r) for r in results],
-    }
-    lines = [_case_line(r) for r in results]
-    lines.append(f"total: {sum(r.passed for r in results)}/{len(results)} passed")
-    _emit(payload, args.json, "\n".join(lines))
-    return 0 if all_passed else 1
+    payload = {"passed": all(r.passed for r in results), "cases": [_case_payload(r) for r in results]}
+    _emit(payload, args.json, _cases_text)
+    return 0 if payload["passed"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

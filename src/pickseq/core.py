@@ -21,12 +21,13 @@ so every layer that reads one instance shares one conversion;
 ``allocation_utilities`` sums the scaled rows and divides once per agent,
 and ``bundle_values`` sums every bundle for every agent by column.
 ``add_item``, ``add_agent`` and ``replace_weight`` extend the parent's
-view and check only the values they add.  The view takes no part in equality, hashing, ``repr`` or pickling,
-and neither does the one allocation's bundle values that
-``fairness.check_allocation`` keeps on the instance.
+view and check only the values they add.  The view takes no part in
+equality, hashing, ``repr`` or pickling.
 
 Agents and items are 0-indexed in code and 1-indexed in serialized
-documents and CLI output.
+documents and CLI output.  ``instance_to_document``,
+``sequence_to_document`` and ``allocation_to_document`` give the documents
+as dicts, which the ``serialize_*`` helpers and the CLI's JSON output dump.
 """
 
 from __future__ import annotations
@@ -130,12 +131,6 @@ class Instance:
     utilities: tuple[tuple[Fraction, ...], ...]
     agent_names: tuple[str, ...] | None = None
     item_names: tuple[str, ...] | None = None
-
-    # ``fairness.check_allocation``'s bundle values for the allocation it
-    # checked last on this instance.  Like the views, it is set in the
-    # instance's __dict__ and takes no part in equality, hashing, ``repr``,
-    # pickling or copies.
-    _allocation_table = None
 
     def __post_init__(self):
         weights = tuple(_as_rational(w) for w in self.weights)
@@ -561,27 +556,34 @@ def serialize_instance(instance: Instance) -> str:
     return json.dumps(instance_to_document(instance), indent=2, sort_keys=True)
 
 
+def _read_one_indexed(values: object, field: str, what: str) -> list[int]:
+    """The 0-indexed ints of a list of 1-indexed ``what``s (agents or items)."""
+    if not isinstance(values, list):
+        raise ParseError(field, f"must be a list of 1-indexed {what}s")
+    out = []
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ParseError(field, f"bad {what} index {v!r}; {what}s are 1-indexed")
+        out.append(v - 1)
+    return out
+
+
 def parse_allocation(document: str | Mapping) -> Allocation:
     data = _load_document(document)
     bundles = data.get("bundles")
     if not isinstance(bundles, list):
         raise ParseError("bundles", "must be a list of item lists")
-    parsed = []
-    for i, bundle in enumerate(bundles):
-        if not isinstance(bundle, list):
-            raise ParseError(f"bundles[{i}]", "must be a list of 1-indexed items")
-        out = []
-        for g in bundle:
-            if not isinstance(g, int) or isinstance(g, bool) or g < 1:
-                raise ParseError(f"bundles[{i}]", f"bad item index {g!r}; items are 1-indexed")
-            out.append(g - 1)
-        parsed.append(frozenset(out))
-    return Allocation(tuple(parsed))
+    return Allocation(tuple(frozenset(_read_one_indexed(bundle, f"bundles[{i}]", "item"))
+                            for i, bundle in enumerate(bundles)))
+
+
+def allocation_to_document(allocation: Allocation) -> dict:
+    """``{"bundles": [[item, ...], ...]}``: each bundle's items 1-indexed, ascending."""
+    return {"bundles": [sorted(g + 1 for g in b) for b in allocation.bundles]}
 
 
 def serialize_allocation(allocation: Allocation) -> str:
-    doc = {"bundles": [sorted(g + 1 for g in b) for b in allocation.bundles]}
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(allocation_to_document(allocation), indent=2, sort_keys=True)
 
 
 def parse_sequence(document: str | Mapping | list) -> PickingSequence:
@@ -595,15 +597,13 @@ def parse_sequence(document: str | Mapping | list) -> PickingSequence:
     else:
         data = _load_document(document)
         turns = data.get("turns")
-    if not isinstance(turns, list):
-        raise ParseError("turns", "must be a list of 1-indexed agents")
-    out = []
-    for a in turns:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise ParseError("turns", f"bad agent index {a!r}; agents are 1-indexed")
-        out.append(a - 1)
-    return PickingSequence(tuple(out))
+    return PickingSequence(tuple(_read_one_indexed(turns, "turns", "agent")))
+
+
+def sequence_to_document(sequence: PickingSequence) -> dict:
+    """``{"turns": [agent, ...]}``: the agent of each turn, 1-indexed."""
+    return {"turns": [a + 1 for a in sequence.turns]}
 
 
 def serialize_sequence(sequence: PickingSequence) -> str:
-    return json.dumps({"turns": [a + 1 for a in sequence.turns]}, sort_keys=True)
+    return json.dumps(sequence_to_document(sequence), sort_keys=True)

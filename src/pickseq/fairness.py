@@ -112,16 +112,19 @@ def check_allocation(
     value of every bundle comes from one ``core.bundle_values`` call, which
     sums each bundle's columns of ``Instance.scaled_columns``.  The
     instance keeps these bundle values for the allocation object it was
-    last checked with, so checking several notions on one allocation
-    validates it and reads its bundles once: WPROP1 reads each agent's own
-    value, and WEF1 and WWEF1 walk only the pairs (i, j) where i envies j
-    outright, with the value of the item of bundle j that i values most.
-    That item's index is looked for only for the witness.  WPROP1's best
-    item outside agent i's bundle is the first of her ``preference_orders``
-    not in it.  The witness divides back by s_i and the weights.
+    last checked with, in its ``__dict__`` as ``_allocation_table``: like
+    the instance's views, the table takes no part in equality, hashing,
+    ``repr``, pickling or copies.  So checking several notions on one
+    allocation validates it and reads its bundles once: WPROP1 reads each
+    agent's own value, and WEF1 and WWEF1 walk only the pairs (i, j) where
+    i envies j outright, with the value of the item of bundle j that i
+    values most.  That item's index is looked for only for the witness.
+    WPROP1's best item outside agent i's bundle is the first of her
+    ``preference_orders`` not in it.  The witness divides back by s_i and
+    the weights.
     """
     _check_notion(notion)
-    table = instance._allocation_table
+    table = instance.__dict__.get("_allocation_table")
     if table is None or table.allocation is not allocation:
         # the allocation is validated once per table
         table = instance.__dict__["_allocation_table"] = _BundleValues(instance, allocation)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable
 
-from .core import Instance, format_rational
+from .core import Instance, allocation_to_document, format_rational, sequence_to_document
 from .fairness import check_allocation, check_sequence
 from .harness import PERTURBATIONS, check_weight_consistency_pair, scan
 from .methods import RULES, TRADITIONAL, Rule, divisor_rule, rule_from_name
@@ -108,10 +108,9 @@ class NamedCase:
 
 # What a case may show of the rule's run on each instance, 1-indexed.
 _SHOW = {
-    "sequence": lambda rule, inst: [
-        a + 1 for a in rule.sequence_for(inst.n, inst.m, inst.weights).turns
-    ],
-    "bundles": lambda rule, inst: [sorted(g + 1 for g in b) for b in rule.run(inst).bundles],
+    "sequence": lambda rule, inst: sequence_to_document(
+        rule.sequence_for(inst.n, inst.m, inst.weights))["turns"],
+    "bundles": lambda rule, inst: allocation_to_document(rule.run(inst))["bundles"],
 }
 
 

@@ -11,6 +11,7 @@ from pickseq.cli import MAX_AGENTS, MAX_BUDGET, MAX_SCAN_BOUNDS, MAX_TURNS, main
 from pickseq.core import format_rational, parse_instance
 from pickseq.harness import check_weight_consistency_pair
 from pickseq.methods import RULES, rule_from_name
+from pickseq.repro import COUNTEREXAMPLE_IDS
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +316,61 @@ def test_repro_list_and_case(capsys):
     assert payload["passed"] is True
     assert payload["actual"]["utility_base"] == "5"
     assert payload["actual"]["utility_modified"] == "4"
+
+
+ALL_CASES_TEXT = "".join(f"{case_id}: pass\n" for case_id in (*COUNTEREXAMPLE_IDS, "table1-matrix"))
+UNEQUAL_ITEMS = '{"agents":[2,3],"items":4,"utilities":[[1,2,3,4],[1,1,1,1]]}'
+THREE_AGENTS_TWO_ITEMS = '{"agents":[1,1,1],"items":2,"utilities":[[1,2],[2,1],[1,1]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["fairness", "--notion", "wprop1", "--sequence", "[2,2,2,2,2]", "--weights", "1,1"], 1,
+         "wprop1: violated at prefix k=3 (agent 1) 0 < 1/2\n"),
+        (["fairness", "--notion", "wef1", "--sequence", "[1,2,2,2,2]", "--weights", "1,2"], 1,
+         "wef1: violated at prefix k=5 (agent 1 vs agent 2) 1/3 < 1/2\n"),
+        (["fairness", "--notion", "wwef1", "--instance", UNEQUAL_ITEMS,
+          "--allocation", '{"bundles":[[1],[2,3,4]]}'], 1,
+         "wwef1: violated (agent 1 vs agent 2) 5/2 < 3\n"),
+        (["fairness", "--notion", "quota", "--sequence", "[1,1,1,2]", "--weights", "1,3"], 1,
+         "quota: violated at prefix k=4 (agent 1) 1 < 3\n"),
+        (["fairness", "--notion", "wwef1", "--sequence", "[1,2,2,2,2]", "--weights", "1,2"], 0,
+         "wwef1: holds\n"),
+        (["mono", "--property", "weight", "--rule", "quota", "--instance", INSTANCE_DOC,
+          "--perturb", '{"kind": "weight", "agent": 1, "weight": "11/18"}'], 1,
+         "agent 1: 25 -> 19\nagent 2: 10 -> 9\nagent 3: 9 -> 10\n"
+         "weight-monotonicity: VIOLATED (agent 1)\n"),
+        (["mono", "--property", "resource", "--rule", "adams", "--instance", INSTANCE_DOC,
+          "--perturb", '{"kind": "resource", "utilities": [1, 2, 3]}'], 0,
+         "agent 1: 17 -> 17\nagent 2: 10 -> 12\nagent 3: 10 -> 10\nresource-monotonicity: respected\n"),
+        (["allocate", "--method", "quota", "--instance", THREE_AGENTS_TWO_ITEMS], 0,
+         "agent 1: items [2] utility 2\nagent 2: items [1] utility 2\nagent 3: items [-] utility 0\n"),
+        (["mwnw", "--instance", INSTANCE_DOC], 0,
+         "agent 1: items [1 3] utility 18\nagent 2: items [2 4] utility 19\n"
+         "agent 3: items [5] utility 9\n"),
+        (["sequence", "--method", "quota", "--weights", "9/18,5/18,4/18", "--turns", "5"], 0,
+         "1 2 1 3 1\n"),
+        (["scan", "--rule", "webster", "--property", "wef1", "--seed", "914", "--trials", "2000"], 1,
+         "wef1 violation at trial 0 (seed 914)\n"),
+        (["scan", "--rule", "adams", "--property", "wef1", "--seed", "914", "--trials", "50"], 0,
+         "no wef1 violation in 50 trials\n"),
+        (["consistency", "--kind", "resource", "--method", "webster", "--weights", "3,2,1",
+          "--turns", "6"], 0,
+         "resource-consistency: holds\n"),
+        (["consistency", "--kind", "weight", "--base", "[1,2,3,1,2,4,1]",
+          "--modified", "[1,2,1,2,3,1,4]", "--agent", "1"], 1,
+         "weight-consistency: VIOLATED\n"),
+        (["repro", "--case", "p61-mnw-resmon"], 0, "p61-mnw-resmon: pass\n"),
+        (["repro", "--all"], 0, ALL_CASES_TEXT + "total: 15/15 passed\n"),
+    ],
+    ids=["sequence-prefix-agent", "sequence-prefix-pair", "allocation-pair", "quota-bounds",
+         "holds", "mono-violators", "mono-respected", "empty-bundle", "mwnw", "sequence",
+         "scan-found", "scan-not-found", "consistency-holds", "consistency-violated",
+         "repro-case", "repro-all"],
+)
+def test_text_output_of_every_subcommand(capsys, argv, code, expected):
+    assert run_cli(capsys, *argv) == (code, expected, "")
 
 
 def test_usage_errors_exit_two(capsys):

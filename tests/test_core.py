@@ -13,6 +13,7 @@ from pickseq.core import (
     ParseError,
     PickingSequence,
     agents_in_range,
+    allocation_to_document,
     bundle_utility,
     format_rational,
     integer_weights,
@@ -23,6 +24,7 @@ from pickseq.core import (
     serialize_allocation,
     serialize_instance,
     serialize_sequence,
+    sequence_to_document,
     turns_of,
 )
 from pickseq.baselines import adjusted_winner, envy_cycle_eliminate, round_robin_sequence
@@ -555,6 +557,10 @@ def test_parse_instance_names_offending_field(doc, field):
         (parse_allocation, '{"bundles": [[1], 2]}', "bundles[1]: must be a list of 1-indexed items"),
         (parse_sequence, '{"turns": "1 2 1"}', "turns: must be a list of 1-indexed agents"),
         (parse_sequence, {"turns": None}, "turns: must be a list of 1-indexed agents"),
+        (parse_allocation, '{"bundles": [[1], [0]]}', "bundles[1]: bad item index 0; items are 1-indexed"),
+        (parse_allocation, '{"bundles": [[true]]}', "bundles[0]: bad item index True; items are 1-indexed"),
+        (parse_sequence, "[1, 2.0]", "turns: bad agent index 2.0; agents are 1-indexed"),
+        (parse_sequence, {"turns": [1, "2"]}, "turns: bad agent index '2'; agents are 1-indexed"),
     ],
 )
 def test_parse_allocation_and_sequence_name_offending_field(parse, doc, message):
@@ -592,10 +598,14 @@ def test_allocation_and_sequence_documents_one_indexed():
     alloc = parse_allocation('{"bundles": [[1, 3], [2]]}')
     assert alloc.bundles == (frozenset({0, 2}), frozenset({1}))
     assert json.loads(serialize_allocation(alloc)) == {"bundles": [[1, 3], [2]]}
+    assert allocation_to_document(alloc) == {"bundles": [[1, 3], [2]]}
+    assert parse_allocation(allocation_to_document(alloc)) == alloc
     seq = parse_sequence('{"turns": [1, 2, 1]}')
     assert seq.turns == (0, 1, 0)
     assert parse_sequence("[1, 2, 1]") == seq
     assert json.loads(serialize_sequence(seq)) == {"turns": [1, 2, 1]}
+    assert sequence_to_document(seq) == {"turns": [1, 2, 1]}
+    assert parse_sequence(sequence_to_document(seq)) == seq
     with pytest.raises(ParseError):
         parse_sequence("[0, 1]")
     with pytest.raises(ParseError):

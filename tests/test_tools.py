@@ -2,6 +2,7 @@
 module) and ``tools/bench_pairs.py`` (paired benchmark summaries).  Pure
 functions only: no git, no subprocess."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import bench_pairs  # noqa: E402
+import code_lines as code_lines_tool  # noqa: E402
 from code_lines import code_lines  # noqa: E402
 
 SOURCE = '''"""Module docstring
@@ -48,6 +50,18 @@ def test_code_lines_counts_code_only():
 
 def test_code_lines_of_an_empty_module():
     assert code_lines('"""Only a docstring."""\n\n# and a comment\n') == 0
+
+
+@pytest.mark.parametrize("argv", [["src/pickseq"], ["no-such-rev"], ["HEAD", "no-such-rev"]])
+def test_code_lines_names_a_revision_git_cannot_read(monkeypatch, capsys, argv):
+    def git(*args):
+        if argv[-1] in args:
+            raise subprocess.CalledProcessError(128, ["git", *args])
+        return ""  # a revision with no modules
+
+    monkeypatch.setattr(code_lines_tool, "git", git)
+    assert code_lines_tool.main(argv) == 2
+    assert capsys.readouterr() == ("", f"code_lines.py: git cannot read revision {argv[-1]!r}\n")
 
 
 def test_spread_of_one_value():

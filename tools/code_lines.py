@@ -4,7 +4,8 @@ A code line holds a token that is not a comment and lies in no docstring
 (of the module, a class or a function).  Blank lines, comment-only lines
 and docstrings are not counted, so the figure moves with the code, not
 with its text.  With two revisions a last column gives the first minus
-the second.
+the second.  A revision that git cannot read exits 2 with one line naming
+it.
 
     python tools/code_lines.py HEAD HEAD~1
 """
@@ -46,8 +47,14 @@ def counts(revision: str) -> dict[str, int]:
     return {p[len(PACKAGE):]: code_lines(git("show", f"{revision}:{p}")) for p in paths}
 
 
-def main(revisions: list[str]) -> None:
-    columns = [counts(r) for r in revisions]
+def main(revisions: list[str]) -> int:
+    columns = []
+    for revision in revisions:
+        try:
+            columns.append(counts(revision))
+        except subprocess.CalledProcessError:
+            print(f"code_lines.py: git cannot read revision {revision!r}", file=sys.stderr)
+            return 2
     modules = sorted(set().union(*columns))
     table = [[c.get(m) for c in columns] for m in modules] + [[sum(c.values()) for c in columns]]
     rows = [["module", *revisions] + (["difference"] if len(columns) == 2 else [])]
@@ -59,7 +66,8 @@ def main(revisions: list[str]) -> None:
     widths = [max(len(row[k]) for row in rows) for k in range(len(rows[0]))]
     for row in rows:
         print("  ".join([row[0].ljust(widths[0])] + [v.rjust(w) for v, w in zip(row[1:], widths[1:])]))
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or ["HEAD"])
+    sys.exit(main(sys.argv[1:] or ["HEAD"]))
