@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -454,11 +455,18 @@ def allocation_utilities(instance: Instance, allocation: Allocation) -> tuple[Fr
 
 
 def load_json(text: str, field: str):
-    """``json.loads``, with invalid JSON a ParseError naming the field."""
+    """``json.loads``, with each refusal a ParseError naming the field in
+    pickseq's own words: ``json``'s messages and positions differ between
+    Python versions, and the output must not."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(field, f"invalid JSON: {exc}") from None
+    except json.JSONDecodeError:
+        raise ParseError(field, "invalid JSON") from None
+    except ValueError:
+        # the one other refusal: an integer literal longer than the
+        # interpreter's limit on int-from-string conversion
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(field, f"integer literals are limited to {limit} digits") from None
 
 
 def _load_document(document: str | Mapping) -> Mapping:

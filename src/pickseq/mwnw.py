@@ -19,11 +19,14 @@ When no allocation can give every agent positive utility, the rule falls
 back to the zero-welfare tie-breaking convention: prefer allocations whose
 positive-utility support is largest, break support ties toward the
 lexicographically smallest agent-index set, then maximize the product
-restricted to that support.  Among exact score ties the solver returns the
-allocation whose item-to-agent assignment vector is lexicographically
-smallest, which makes every reported trace reproducible.  The pruned search
-meets the leaves in another order than the lexicographic one, so it breaks
-each tie by comparing the assignments themselves, read as base-n numbers.
+restricted to that support.  The solver fixes that support, S*, by a
+greedy matching before the search (see ``solve``), so every leaf it ranks
+is ranked by one integer product over S*.  Among exact score ties the
+solver returns the allocation whose item-to-agent assignment vector is
+lexicographically smallest, which makes every reported trace
+reproducible.  The pruned search meets the leaves in another order than
+the lexicographic one, so it breaks each tie by comparing the assignments
+themselves, read as base-n numbers.
 """
 
 from __future__ import annotations
@@ -116,28 +119,75 @@ class _Memo(dict):
         return value
 
 
+def _greedy_support(rows: Sequence[Sequence[int]]) -> list[int]:
+    """S*: the agents in index order, each kept when an augmenting path from
+    it exists (Kuhn) in the graph whose edges are the positive values, so
+    that all the kept agents can be positive at once.  A path visits at most
+    min(n, m) matched agents, so the recursion is at most min(n, m) + 1
+    deep."""
+    holder: dict[int, int] = {}  # item -> the kept agent it is matched to
+
+    def augment(i: int, visited: set[int]) -> bool:
+        for j, u in enumerate(rows[i]):
+            if u and j not in visited:
+                visited.add(j)
+                if j not in holder or augment(holder[j], visited):
+                    holder[j] = i
+                    return True
+        return False
+
+    return [i for i in range(len(rows)) if augment(i, set())]
+
+
 def solve(
     instance: Instance, budget: int = DEFAULT_BUDGET, prune: bool = True
 ) -> Allocation:
     """Return the maximum weighted Nash welfare allocation.
 
-    Without ``prune``, enumerates all n^m item-to-agent assignments
-    depth-first in lexicographic order, the referee of the pruned search.
-    With ``prune``, the search takes the items in descending order of total
-    scaled value and each item's valuers in descending order of value, ties
-    to the lower index, so that good incumbents come early and bounds fail
-    first; the order is a heuristic only, and the result is the unpruned
-    one: the optimum whose assignment, kept in item order, is
-    lexicographically smallest.  Each leaf that ties or beats the incumbent
-    gets a key that grows with its rank and, within one rank, falls with
-    its code, the assignment read as a base-n number, item 0 most
-    significant; the incumbent is the leaf of the largest key.  Each skip
-    below drops only leaves that are strictly beaten or whose keys the
-    search still meets:
+    Before the search, the solver fixes S*, the support of every optimum.
+    The agents that one allocation makes positive can be matched to
+    distinct items that each values, so every support is an independent
+    set of a transversal matroid (Edmonds & Fulkerson, 1965).  S* is the
+    greedy basis over the agents in index order (``_greedy_support``): it
+    has the size of a maximum matching, as Caragiannis et al. find the
+    largest support, and it is the lexicographically smallest basis, as the
+    greedy basis of a matroid is (Gale).  So S* is the support that the
+    zero-welfare convention prefers, provided some allocation has support
+    exactly S*:
 
+    - every item that anyone values is valued by an agent of S*: were it
+      valued only by an agent b outside S*, S* plus b would be matchable;
+    - so giving the matched items to their agents of S* and every other
+      valued item to an agent of S* who values it reaches S* exactly;
+    - a leaf that gives a valued item to an agent who values it at 0 is
+      strictly beaten by the same leaf with the item given to an agent a of
+      S* who values it: a larger support when a is at 0 there, otherwise a
+      larger product, since e_a > 0.
+
+    The search therefore runs on S*'s rows over the items that someone
+    values, and gives each item that nobody values to agent 0, as the
+    lexicographic tie-break would.  Each leaf on which every agent of S*
+    is positive is ranked by one integer product over S*; every other leaf
+    has a smaller support and is dropped.  Both modes make this reduction.
+
+    Without ``prune``, the search enumerates every agent of S* on every
+    valued item depth-first in lexicographic order, the referee of the
+    pruned search's order, bounds and state skip.  With ``prune``, the
+    search takes the items in descending order of total scaled value and
+    each item's valuers in descending order of value, ties to the lower
+    index, so that good incumbents come early and bounds fail first; the
+    order is a heuristic only, and the result is the unpruned one: the
+    optimum whose assignment, kept in item order, is lexicographically
+    smallest.  Each leaf that ties or beats the incumbent gets a key that
+    grows with its product and, within one product, falls with its code,
+    the assignment read as a base-n number, item 0 most significant; the
+    incumbent is the leaf of the largest key.  Each skip below drops only
+    leaves that are strictly beaten or whose keys the search still meets:
+
+    - a subtree in which some agent of S* cannot become positive;
     - above the last item, a subtree whose optimistic utility bound is
-      strictly below a positive incumbent (at the last item the bound costs
-      more than the n leaves it would save);
+      strictly below the incumbent (at the last item the bound costs more
+      than the leaves it would save);
     - a state (next item, utilities so far), above the last two items,
       searched before.  Every path into one state has assigned the same
       items and shares its completions, and a leaf's code is its path's
@@ -145,22 +195,15 @@ def solve(
       under the state plus the code of the path that searched it, and a
       later path reads its own largest key off that store, the one of a
       tie when its code is smaller;
-    - item j given to an agent who values it at 0 when another agent b
-      values it: each leaf under that branch is strictly beaten by the same
-      leaf with j given to b, whose support is larger when b is outside it
-      and otherwise equal with a larger product (e_b > 0), so it is neither
-      the optimum nor tied with it.  An item nobody values goes to agent 0
-      only, as the lexicographic tie-break would give it.
+    - item j given to an agent of S* who values it at 0 (see above).
 
-    A leaf is ranked by (support size, sorted support, product) as
-    ``WelfareScore.compare`` ranks it, on integer products.  The bit length
-    of each u^e_i, and u^e_i itself where a product needs it, is computed
-    once per solve, in per-agent memos that a bound or a leaf reads in C.  A product of k powers whose bit lengths
-    sum to b has a bit length from b - k + 1 to b, so when that window lies
-    wholly above or below the incumbent's bit length the order is known
-    without multiplying; otherwise a leaf or a bound costs at most n
-    big-integer multiplications.  A leaf's support is read from its m
-    picks, not from its n utilities.
+    The bit length of each u^e_i, and u^e_i itself where a product needs
+    it, is computed once per solve, in per-agent memos that a bound or a
+    leaf reads in C.  A product of k powers whose bit lengths sum to b has
+    a bit length from b - k + 1 to b, so when that window lies wholly above
+    or below the incumbent's bit length the order is known without
+    multiplying; otherwise a leaf or a bound costs at most |S*| big-integer
+    multiplications.
     """
     n, m = instance.n, instance.m
     if n**m > budget:
@@ -178,42 +221,44 @@ def solve(
             "use weights with smaller denominators"
         )
 
-    cols = list(zip(*rows))  # cols[j][i]: agent i's value for item j
-    # order[g]: the g-th item searched; pruned, the most valuable first
-    order = sorted(range(m), key=lambda j: sum(cols[j]), reverse=True) if prune else range(m)
-    # picks[g]: the (agent, value, code step) branches of item order[g]
-    # without the dominated ones: only its valuers, each item's top valuers
-    # first, or agent 0 when nobody values it.  The step a * n^(m-1-j) adds
-    # agent a's pick of item j to the code of the assignment (see floor)
+    support = _greedy_support(rows)
+    k = len(support)
+    # cols[j][s]: the value for item j of the s-th agent of S*
+    cols = [[rows[i][j] for i in support] for j in range(m)]
+    # order[g]: the g-th item searched, of the items that someone values;
+    # pruned, the most valuable first
+    valued = [j for j in range(m) if any(cols[j])]
+    order = sorted(valued, key=lambda j: sum(cols[j]), reverse=True) if prune else valued
+    # picks[g]: the (agent of S*, value, code step) branches of item
+    # order[g]; pruned, only its valuers, the top valuers first.  The step
+    # a * n^(m-1-j) adds agent a's pick of item j to the code of the
+    # assignment (see floor)
     picks = []
     for j in order:
-        branches = [(a, u) for a, u in enumerate(cols[j]) if u or not prune] or [(0, 0)]
-        if prune:
-            branches.sort(key=itemgetter(1), reverse=True)
         place = n ** (m - 1 - j)
-        picks.append([(a, u, a * place) for a, u in branches])
-    # rest[g][i]: agent i's scaled utility for the items searched from g onward
-    rest = [[0] * n for _ in range(m + 1)]
-    for g in range(m - 1, -1, -1):
+        branches = [(s, u, support[s] * place) for s, u in enumerate(cols[j]) if u or not prune]
+        picks.append(sorted(branches, key=itemgetter(1), reverse=True) if prune else branches)
+    last = len(order) - 1
+    # rest[g][s]: the s-th agent of S*'s scaled utility for the items
+    # searched from g onward
+    rest = [[0] * k for _ in range(last + 2)]
+    for g in range(last, -1, -1):
         rest[g] = list(map(add, rest[g + 1], cols[order[g]]))
-    # powers[i][u] = u ** e_i and lengths[i][u] its bit length, each computed
+    # powers[s][u] = u ** e and lengths[s][u] its bit length, each computed
     # once; a length does not store its power, which most bounds never need
-    powers = [_Memo(e.__rpow__) for e in exponents]
-    lengths = [_Memo(lambda u, e=e: (u ** e).bit_length()) for e in exponents]
+    powers = [_Memo(exponents[i].__rpow__) for i in support]
+    lengths = [_Memo(lambda u, e=exponents[i]: (u ** e).bit_length()) for i in support]
 
     # A leaf that ties or beats the incumbent gets the key floor - code: code
     # is its assignment read as a base-n number, item 0 most significant, and
     # floor grows by n^m with each strict improvement of the incumbent's
-    # rank, so a key of an earlier rank is at most floor - n^m.  The
+    # product, so a key of an earlier product is at most floor - n^m.  The
     # incumbent is the leaf of the largest key, top.
     span = n**m
     floor = top = 0
-    # the incumbent's rank: support size, sorted support, scaled product
-    best_size, best_support, best_product, best_bits = -1, [], 0, 0
-    current = [0] * n
-    assign = [0] * m  # assign[j]: the agent holding item j
-    last = m - 1
-    deep = m - 2 if prune else 0  # the levels g < deep store their states
+    best_product = best_bits = 0  # the incumbent's product over S*; 0 for none
+    current = [0] * k
+    deep = last - 1 if prune else 0  # the levels g < deep store their states
     # seen[g]: the utilities so far of each state searched at level g -> the
     # largest key under it plus the code of the path that searched it, or 0
     # when no leaf under it got a key; a path with another code reads its
@@ -222,7 +267,7 @@ def solve(
 
     def recurse(g: int, code: int) -> int:
         """Search the subtree of item order[g] on; return its largest key."""
-        nonlocal floor, top, best_size, best_support, best_product, best_bits
+        nonlocal floor, top, best_product, best_bits
         if g < deep:
             level, state = seen[g], tuple(current)
             if state in level:
@@ -232,63 +277,46 @@ def solve(
                 return key
             level[state] = 0
         low = 0
-        j = order[g]
         if g < last:
-            if prune and best_size == n:
+            if prune:
                 reach = list(map(add, current, rest[g]))
-                if 0 in reach:
-                    return 0
                 bits = sum(map(getitem, lengths, reach))
-                if bits < best_bits or (
-                    bits - n < best_bits and prod(map(getitem, powers, reach)) < best_product
+                if 0 in reach or bits < best_bits or (
+                    bits - k < best_bits and prod(map(getitem, powers, reach)) < best_product
                 ):
                     return 0
-            for a, value, step in picks[g]:
-                assign[j] = a
-                current[a] += value
+            for s, value, step in picks[g]:
+                current[s] += value
                 key = recurse(g + 1, code + step)
-                current[a] -= value
+                current[s] -= value
                 if key > low:
                     low = key
             if low and g < deep:
                 level[state] = low + code
             return low
-        # the last item: its n leaves, ranked inline
-        for a, value, step in picks[g]:
-            assign[j] = a
-            current[a] += value
-            if best_size == n:
-                if 0 not in current and sum(map(getitem, lengths, current)) >= best_bits:
-                    cand = prod(map(getitem, powers, current))
-                    if cand >= best_product:
-                        if cand > best_product:
-                            best_product, best_bits = cand, cand.bit_length()
-                            floor += span
-                        low = max(low, floor - code - step)
-            else:
-                support = sorted({b for b, c in zip(assign, cols) if c[b]})
-                size = len(support)
-                if size > best_size or (size == best_size and support <= best_support):
-                    cand = prod([powers[i][current[i]] for i in support])
-                    if support != best_support or cand >= best_product:
-                        if support != best_support or cand > best_product:
-                            best_size, best_support, best_product = size, support, cand
-                            best_bits = cand.bit_length()
-                            floor += span
-                        low = max(low, floor - code - step)
-            current[a] -= value
+        # the last item: its leaves, ranked inline
+        for s, value, step in picks[g]:
+            current[s] += value
+            if 0 not in current and sum(map(getitem, lengths, current)) >= best_bits:
+                cand = prod(map(getitem, powers, current))
+                if cand >= best_product:
+                    if cand > best_product:
+                        best_product, best_bits = cand, cand.bit_length()
+                        floor += span
+                    low = max(low, floor - code - step)
+            current[s] -= value
         if low > top:
             top = low
         return low
 
-    if m:
+    if order:
         recurse(0, 0)
     # recurse refers to itself through its closure; breaking that cycle
     # frees the power memos now rather than at a later full collection
     del recurse
     bundles = [set() for _ in range(n)]
     code = floor - top
-    for j in range(last, -1, -1):
+    for j in range(m - 1, -1, -1):
         code, a = divmod(code, n)
         bundles[a].add(j)
     return Allocation._trusted(tuple(map(frozenset, bundles)))
