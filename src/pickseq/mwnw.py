@@ -229,10 +229,10 @@ def solve(
     # pruned, the most valuable first
     valued = [j for j in range(m) if any(cols[j])]
     order = sorted(valued, key=lambda j: sum(cols[j]), reverse=True) if prune else valued
-    # picks[g]: the (agent of S*, value, code step) branches of item
-    # order[g]; pruned, only its valuers, the top valuers first.  The step
-    # a * n^(m-1-j) adds agent a's pick of item j to the code of the
-    # assignment (see floor)
+    # picks[g]: the (s, value, code step) branches of item order[g], one
+    # for each s-th agent of S*; pruned, only its valuers, the top valuers
+    # first.  The step a * n^(m-1-j), a = support[s], adds agent a's pick
+    # of item j to the code of the assignment (see floor)
     picks = []
     for j in order:
         place = n ** (m - 1 - j)
@@ -244,8 +244,9 @@ def solve(
     rest = [[0] * k for _ in range(last + 2)]
     for g in range(last, -1, -1):
         rest[g] = list(map(add, rest[g + 1], cols[order[g]]))
-    # powers[s][u] = u ** e and lengths[s][u] its bit length, each computed
-    # once; a length does not store its power, which most bounds never need
+    # powers[s][u] = u ** e_i, i = support[s], and lengths[s][u] its bit
+    # length, each computed once; a length does not store its power, which
+    # most bounds never need
     powers = [_Memo(exponents[i].__rpow__) for i in support]
     lengths = [_Memo(lambda u, e=exponents[i]: (u ** e).bit_length()) for i in support]
 
